@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .fock import Sector
 
@@ -163,12 +162,14 @@ def _targets(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 def bethe_residual(roots: BetheRoots, config: BetheConfig) -> np.ndarray:
     """Stacked left-minus-right sides of the two logarithmic equation sets."""
-    return _residual(roots.k, roots.mu, config)
+    return _residual(roots.k, roots.mu, config, _targets(config))
 
 
-def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
+def _residual(
+    k: np.ndarray, mu: np.ndarray, config: BetheConfig, targets: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     U = config.U
-    a1, a2 = _targets(config)
+    a1, a2 = targets
     sk = np.sin(k)
     f1 = config.L * k - a1
     if len(mu):
@@ -182,24 +183,79 @@ def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
     return f1
 
 
-def _jacobian(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
+def _jacobian_blocks(
+    k: np.ndarray, mu: np.ndarray, config: BetheConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of the Jacobian [[diag(dk), -d1], [-d1^T diag(cos k), e]].
+
+    theta1' is even, so the k-rows and the mu-rows share the n x m matrix d1."""
     U = config.U
-    n, m = len(k), len(mu)
-    sk = np.sin(k)
     ck = np.cos(k)
-    jac = np.zeros((n + m, n + m))
-    if m:
-        d1 = _dtheta1(sk[:, None] - mu[None, :], U)      # n x m
-        jac[:n, :n] = np.diag(config.L + ck * d1.sum(axis=1))
-        jac[:n, n:] = -d1
-        d2 = _dtheta1(mu[:, None] - sk[None, :], U)      # m x n
-        jac[n:, :n] = -d2 * ck[None, :]
-        dmm = _dtheta2(mu[:, None] - mu[None, :], U)
-        np.fill_diagonal(dmm, 0.0)
-        jac[n:, n:] = np.diag(d2.sum(axis=1) - dmm.sum(axis=1)) + dmm
-    else:
-        jac[:n, :n] = np.diag(np.full(n, float(config.L)))
-    return jac
+    d1 = _dtheta1(np.sin(k)[:, None] - mu[None, :], U)
+    dk = config.L + ck * d1.sum(axis=1)
+    e = _dtheta2(mu[:, None] - mu[None, :], U)
+    np.fill_diagonal(e, 0.0)
+    diag = d1.sum(axis=0) - e.sum(axis=1)
+    np.fill_diagonal(e, diag)
+    return dk, ck, d1, e
+
+
+def _jacobian(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
+    """Dense Jacobian of the residual: the reference the Schur step is tested against."""
+    dk, ck, d1, e = _jacobian_blocks(k, mu, config)
+    return np.block([[np.diag(dk), -d1], [-d1.T * ck, e]])
+
+
+def _newton_step(k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarray) -> np.ndarray:
+    """Solve J step = f by eliminating the diagonal k-block: an m x m Schur
+    system on the rapidities, then back-substitution for the momenta.
+
+    Dense algebra stays on numpy (solve and @): scipy bundles a second
+    OpenBLAS with its own thread pool, and alternating the two libraries in
+    this loop makes the pools contend for the cores (measured 2-3x slower)."""
+    dk, ck, d1, e = _jacobian_blocks(k, mu, config)
+    if not np.all(np.isfinite(dk) & (dk != 0.0)):
+        raise np.linalg.LinAlgError("vanishing k-pivot")
+    n = len(k)
+    f1, f2 = f[:n], f[n:]
+    w = d1.T * (ck / dk)
+    step_mu = np.linalg.solve(e - w @ d1, f2 + w @ f1)
+    step_k = (f1 + d1 @ step_mu) / dk
+    return np.concatenate([step_k, step_mu])
+
+
+def _damped_newton(
+    x: np.ndarray,
+    residual: Callable[[np.ndarray], np.ndarray],
+    newton_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tol: float,
+    max_iter: int,
+) -> Tuple[np.ndarray, float, int]:
+    """Newton iteration on residual(x) = 0 with step halving: a step is taken
+    only if it lowers the max-norm residual.  Returns (x, residual, steps)."""
+    f = residual(x)
+    best = float(np.max(np.abs(f))) if len(f) else 0.0
+    for it in range(max_iter + 1):
+        if best <= tol:
+            return x, best, it
+        if it == max_iter:
+            break
+        try:
+            step = newton_step(x, f)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular Jacobian", residual=best) from exc
+        lam = 1.0
+        for _ in range(30):
+            xn = x - lam * step
+            fn = residual(xn)
+            norm = float(np.max(np.abs(fn)))
+            if norm < best:
+                x, f, best = xn, fn, norm
+                break
+            lam *= 0.5
+        else:
+            raise SolverError("damped Newton stalled", residual=best)
+    raise SolverError(f"no convergence after {max_iter} iterations", residual=best)
 
 
 def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -207,17 +263,15 @@ def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
     rapidities from the isolated second-level equation.
 
     At strong coupling the rescaled rapidities solve the twisted isotropic
-    chain equation; solving that small system makes the residual of the
-    guess O(1/U) and gives Newton a head start at any size."""
+    chain equation, which makes the residual of the guess O(1/U).  Below the
+    continuation start the tangent seed is closer."""
     a1, a2 = _targets(config)
     k = a1 / config.L
     n = len(config.q1)
     m = len(config.q2)
     if m == 0:
         return k, np.zeros(0)
-    # the limit solve pays off for small systems or strong coupling; at
-    # moderate coupling and large size the direct tangent seed is closer
-    if m <= 96 or config.U >= 16.0:
+    if config.U >= 16.0:
         try:
             lam = _twisted_heisenberg_solve(n, a2, max_iter=80)
             return k, (config.U / 2.0) * lam
@@ -235,33 +289,15 @@ def _newton(
     max_iter: int,
 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
     n = len(k)
-    x = np.concatenate([k, mu])
-    f = _residual(x[:n], x[n:], config)
-    best = float(np.max(np.abs(f))) if len(f) else 0.0
-    for it in range(1, max_iter + 1):
-        if best <= tol:
-            return x[:n], x[n:], best, it - 1
-        jac = _jacobian(x[:n], x[n:], config)
-        try:
-            step = sla.solve(jac, f)
-        except sla.LinAlgError as exc:
-            raise SolverError(
-                "singular Jacobian, try continuation in U", residual=best
-            ) from exc
-        lam = 1.0
-        for _ in range(30):
-            xn = x - lam * step
-            fn = _residual(xn[:n], xn[n:], config)
-            norm = float(np.max(np.abs(fn)))
-            if norm < best:
-                x, f, best = xn, fn, norm
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("damped Newton stalled", residual=best)
-    if best <= tol:
-        return x[:n], x[n:], best, max_iter
-    raise SolverError(f"no convergence after {max_iter} iterations", residual=best)
+    targets = _targets(config)
+    x, res, its = _damped_newton(
+        np.concatenate([k, mu]),
+        lambda x: _residual(x[:n], x[n:], config, targets),
+        lambda x, f: _newton_step(x[:n], x[n:], config, f),
+        tol,
+        max_iter,
+    )
+    return x[:n], x[n:], res, its
 
 
 def solve(config: BetheConfig, tol: float = 1e-12, max_iter: int = 200) -> BetheRoots:
@@ -274,7 +310,7 @@ def solve(config: BetheConfig, tol: float = 1e-12, max_iter: int = 200) -> Bethe
     k0, mu0 = _initial_guess(config)
     try:
         k, mu, res, its = _newton(k0, mu0, config, tol, max_iter)
-        return _validated_roots(k, mu, res, its)
+        return _validated_roots(k, mu, config, res, its)
     except SolverError:
         pass
     # continuation: walk the coupling down from an easy strong-coupling start
@@ -286,13 +322,21 @@ def solve(config: BetheConfig, tol: float = 1e-12, max_iter: int = 200) -> Bethe
         cfg = _with_u(config, u)
         k, mu, res, its = _newton(k, mu, cfg, tol, max_iter)
         its_total += its
-    return _validated_roots(k, mu, res, its_total)
+    return _validated_roots(k, mu, config, res, its_total)
 
 
-def _validated_roots(k: np.ndarray, mu: np.ndarray, res: float, its: int) -> BetheRoots:
-    for arr, name in ((k, "momenta"), (mu, "rapidities")):
-        if len(arr) > 1 and np.min(np.diff(np.sort(arr))) < 1e-11:
-            raise SolverError(f"collapsed {name}: root class left the real-root branch", residual=res)
+def _validated_roots(
+    k: np.ndarray, mu: np.ndarray, config: BetheConfig, res: float, its: int
+) -> BetheRoots:
+    """Reject root sets that are not strictly monotone in the direction of
+    their branch numbers (collapsed or misordered roots)."""
+    for arr, q, name in ((k, config.q1, "momenta"), (mu, config.q2, "rapidities")):
+        if len(arr) > 1:
+            gaps = np.diff(arr) if q[1] > q[0] else -np.diff(arr)
+            if np.min(gaps) < 1e-11:
+                raise SolverError(
+                    f"{name} collapsed or out of branch-number order: "
+                    "root class left the real-root branch", residual=res)
     return BetheRoots(k, mu, res, its)
 
 
@@ -370,41 +414,34 @@ def l2_closed_forms(U: float) -> List[dict]:
     ]
 
 
+def _twisted_residual(lam: np.ndarray, n: int, targets: np.ndarray) -> np.ndarray:
+    t = 2.0 * np.arctan(lam[:, None] - lam[None, :])
+    np.fill_diagonal(t, 0.0)
+    return n * 2.0 * np.arctan(2.0 * lam) - targets - t.sum(axis=1)
+
+
+def _twisted_jacobian(lam: np.ndarray, n: int) -> np.ndarray:
+    d = 1.0 / (1.0 + (lam[:, None] - lam[None, :]) ** 2)
+    np.fill_diagonal(d, 0.0)
+    diag = 4.0 * n / (1.0 + 4.0 * lam * lam) - 2.0 * d.sum(axis=1)
+    jac = 2.0 * d
+    np.fill_diagonal(jac, diag)
+    return jac
+
+
 def _twisted_heisenberg_solve(
     n: int, targets: np.ndarray, tol: float = 1e-12, max_iter: int = 200
 ) -> np.ndarray:
     """Real roots of n * 2 atan(2 lam_m) = targets_m + sum 2 atan(lam_m - lam_l)."""
-    lam = 0.5 * np.tan(np.clip(targets / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
-
-    def resid(x):
-        t = 2.0 * np.arctan(x[:, None] - x[None, :])
-        np.fill_diagonal(t, 0.0)
-        return n * 2.0 * np.arctan(2.0 * x) - targets - t.sum(axis=1)
-
-    def jac(x):
-        d = 1.0 / (1.0 + (x[:, None] - x[None, :]) ** 2)
-        np.fill_diagonal(d, 0.0)
-        j = -2.0 * d
-        j += np.diag(4.0 * n / (1.0 + 4.0 * x * x) + 2.0 * d.sum(axis=1))
-        return j
-
-    f = resid(lam)
-    best = float(np.max(np.abs(f)))
-    for _ in range(max_iter):
-        if best <= tol:
-            return lam
-        step = sla.solve(jac(lam), f)
-        lam_new = lam - step
-        f_new = resid(lam_new)
-        norm = float(np.max(np.abs(f_new)))
-        scale = 1.0
-        while norm >= best and scale > 1e-8:
-            scale *= 0.5
-            lam_new = lam - scale * step
-            f_new = resid(lam_new)
-            norm = float(np.max(np.abs(f_new)))
-        lam, f, best = lam_new, f_new, norm
-    raise SolverError("twisted spin-chain solve failed", residual=best)
+    lam0 = 0.5 * np.tan(np.clip(targets / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
+    lam, _, _ = _damped_newton(
+        lam0,
+        lambda lam: _twisted_residual(lam, n, targets),
+        lambda lam, f: np.linalg.solve(_twisted_jacobian(lam, n), f),
+        tol,
+        max_iter,
+    )
+    return lam
 
 
 def heisenberg_twisted_roots(

@@ -7,6 +7,7 @@ from chargepair import bethe
 from chargepair.bethe import (
     BetheConfig,
     BetheRoots,
+    SolverError,
     bethe_residual,
     charge_gap,
     energy,
@@ -89,12 +90,104 @@ class TestResidual:
         assert 6e-6 <= abs(res[2]) <= 3 * 6e-6
 
     def test_decoupled_guess_residual_shrinks_with_coupling(self):
-        k0, mu0 = bethe._initial_guess(quantum_numbers("ground", 6, 50.0))
-        weak = np.max(np.abs(bethe._residual(k0, mu0, quantum_numbers("ground", 6, 50.0))))
-        k1, mu1 = bethe._initial_guess(quantum_numbers("ground", 6, 500.0))
-        strong = np.max(np.abs(bethe._residual(k1, mu1, quantum_numbers("ground", 6, 500.0))))
+        def guess_residual(U):
+            cfg = quantum_numbers("ground", 6, U)
+            k, mu = bethe._initial_guess(cfg)
+            return np.max(np.abs(bethe_residual(BetheRoots(k, mu, 0.0, 0), cfg)))
+
+        weak = guess_residual(50.0)
+        strong = guess_residual(500.0)
         assert strong < weak
         assert strong < 20.0 / 500.0
+
+
+def _finite_difference_jacobian(fun, x, h=1e-6):
+    cols = [(fun(x + h * e) - fun(x - h * e)) / (2.0 * h) for e in np.eye(len(x))]
+    return np.column_stack(cols)
+
+
+class TestJacobian:
+    POINTS = [("ground", 13, 2.0), ("charge_excitation", 14, 0.7),
+              ("first_excitation", 11, 5.0), ("spin_excitation", 10, 30.0)]
+
+    @pytest.mark.parametrize("state,L,U", POINTS)
+    def test_bethe_jacobian_matches_finite_differences(self, state, L, U):
+        cfg = quantum_numbers(state, L, U)
+        n = len(cfg.q1)
+        rng = np.random.default_rng(L)
+        x = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.normal(size=len(cfg.q2))])
+        targets = bethe._targets(cfg)
+        fd = _finite_difference_jacobian(
+            lambda y: bethe._residual(y[:n], y[n:], cfg, targets), x)
+        jac = bethe._jacobian(x[:n], x[n:], cfg)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+    @pytest.mark.parametrize("state,L,U", POINTS)
+    def test_schur_step_equals_dense_solve(self, state, L, U):
+        cfg = quantum_numbers(state, L, U)
+        n = len(cfg.q1)
+        rng = np.random.default_rng(L + 1)
+        k = rng.uniform(-3.0, 3.0, n)
+        mu = rng.normal(size=len(cfg.q2))
+        f = rng.normal(size=n + len(cfg.q2))
+        dense_step = np.linalg.solve(bethe._jacobian(k, mu, cfg), f)
+        schur_step = bethe._newton_step(k, mu, cfg, f)
+        assert np.max(np.abs(schur_step - dense_step)) <= 1e-12 * np.max(np.abs(dense_step))
+
+    @pytest.mark.parametrize("n,m", [(5, 2), (13, 6), (65, 32)])
+    def test_twisted_chain_jacobian_matches_finite_differences(self, n, m):
+        rng = np.random.default_rng(n)
+        lam = rng.normal(size=m)
+        targets = rng.normal(size=m)
+        fd = _finite_difference_jacobian(
+            lambda y: bethe._twisted_residual(y, n, targets), lam)
+        jac = bethe._twisted_jacobian(lam, n)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+
+    def test_vanishing_k_pivot_is_a_singular_jacobian(self):
+        # k = pi and mu = 0 at L = 2, U = 4 make L + cos k * theta1'(sin k - mu) = 0
+        cfg = BetheConfig(2, 4.0, Sector(1, 1), (Fraction(1), Fraction(0)), (Fraction(0),), "even")
+        with pytest.raises(SolverError, match="singular") as err:
+            bethe._newton(np.array([np.pi, np.pi]), np.zeros(1), cfg, 1e-12, 10)
+        assert err.value.residual > 0.0
+
+
+class TestDampedNewton:
+    def test_rootless_problem_raises_with_residual(self):
+        # x^2 + 1 has no real root: no step may be accepted that raises the residual
+        with pytest.raises(SolverError) as err:
+            bethe._damped_newton(np.array([0.5]), lambda x: x * x + 1.0,
+                                 lambda x, f: f / (2.0 * x), 1e-12, 200)
+        assert err.value.residual >= 1.0
+
+    def test_twisted_chain_converges_in_few_steps(self):
+        # the twisted-chain seed of the L = 65 odd ground state: quadratic
+        # convergence needs the exact Jacobian
+        targets = bethe._targets(quantum_numbers("ground", 65, 20.0))[1]
+        lam = bethe._twisted_heisenberg_solve(65, targets, max_iter=12)
+        assert np.max(np.abs(bethe._twisted_residual(lam, 65, targets))) <= 1e-12
+        assert np.all(np.diff(lam) > 0)
+
+
+class TestValidatedRoots:
+    def test_misordered_roots_raise(self):
+        cfg = quantum_numbers("ground", 6, 2.0)
+        roots = solve(cfg)
+        bethe._validated_roots(roots.k, roots.mu, cfg, 0.0, 0)
+        k = roots.k.copy()
+        k[[1, 2]] = k[[2, 1]]
+        with pytest.raises(SolverError, match="order"):
+            bethe._validated_roots(k, roots.mu, cfg, 0.0, 0)
+        with pytest.raises(SolverError, match="order"):
+            bethe._validated_roots(roots.k, roots.mu[::-1].copy(), cfg, 0.0, 0)
+
+    def test_collapsed_roots_raise(self):
+        cfg = quantum_numbers("ground", 6, 2.0)
+        roots = solve(cfg)
+        mu = roots.mu.copy()
+        mu[1] = mu[0]
+        with pytest.raises(SolverError, match="collapsed"):
+            bethe._validated_roots(roots.k, mu, cfg, 0.0, 0)
 
 
 class TestSolve:
