@@ -18,7 +18,6 @@ target mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -104,30 +103,38 @@ def _check_L(L: int) -> None:
         raise ValueError(f"site count L={L} outside 1..{MAX_SITES}")
 
 
+def _basis_words(L: int, sector: Optional[Sector] = None) -> np.ndarray:
+    """Sorted int64 array of the encoded words spanning the basis.
+
+    This is the one definition of the basis order: every enumeration, index
+    lookup and operator matrix of this module follows it.
+    """
+    _check_L(L)
+    if sector is None:
+        return np.arange(4**L, dtype=np.int64)
+    sector.validate(L)
+    patterns = np.arange(1 << L, dtype=np.int64)
+    counts = sum((patterns >> b) & 1 for b in range(L))
+    ups = patterns[counts == sector.n_up]
+    downs = patterns[counts == sector.n_down]
+    # down bits are the high block, so down-major order is increasing order
+    return ((downs[:, None] << L) | ups[None, :]).ravel()
+
+
+def _parity(words: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each word (XOR fold; words below 2**32)."""
+    for shift in (16, 8, 4, 2, 1):
+        words = words ^ (words >> shift)
+    return words & 1
+
+
 def enumerate_basis(L: int, sector: Optional[Sector] = None) -> list[FockState]:
     """All basis states of the chain, in increasing encoded-word order.
 
     Without a sector the full 4**L states are returned; with one, the
     C(L, n_up) * C(L, n_down) states of that particle-number block.
     """
-    _check_L(L)
-    if sector is None:
-        return [FockState.from_word(w, L) for w in range(4**L)]
-    sector.validate(L)
-    ups = _bit_patterns(L, sector.n_up)
-    downs = _bit_patterns(L, sector.n_down)
-    words = sorted(u | (d << L) for u in ups for d in downs)
-    return [FockState.from_word(w, L) for w in words]
-
-
-def _bit_patterns(L: int, n: int) -> list[int]:
-    out = []
-    for positions in combinations(range(L), n):
-        w = 0
-        for p in positions:
-            w |= 1 << p
-        out.append(w)
-    return out
+    return [FockState.from_word(int(w), L) for w in _basis_words(L, sector)]
 
 
 def sector_dimension(L: int, sector: Optional[Sector]) -> int:
@@ -160,26 +167,6 @@ def apply_mode(
     return sign, FockState.from_word(word ^ (1 << m), state.L)
 
 
-def _apply_word(word: int, L: int, factors: Sequence[Factor]) -> Optional[Tuple[int, int]]:
-    """Apply an ordered operator product to an encoded word (rightmost first)."""
-    sign = 1
-    for kind, spin, site in reversed(factors):
-        m = mode_index(L, spin, site)
-        occupied = (word >> m) & 1
-        if kind == CREATE:
-            if occupied:
-                return None
-        elif kind == ANNIHILATE:
-            if not occupied:
-                return None
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
-        if (word & ((1 << m) - 1)).bit_count() & 1:
-            sign = -sign
-        word ^= 1 << m
-    return sign, word
-
-
 def assemble_operator(
     L: int,
     terms: Iterable[Term],
@@ -194,34 +181,49 @@ def assemble_operator(
     state outside the block raises.  Returns a dense array up to dimension
     ``DENSE_DIM_LIMIT`` and a CSR matrix above (overridable via ``dense``).
     """
-    _check_L(L)
-    basis = enumerate_basis(L, sector)
-    dim = len(basis)
-    index = {s.word: i for i, s in enumerate(basis)}
+    words = _basis_words(L, sector)
+    dim = len(words)
     if dense is None:
         dense = dim <= DENSE_DIM_LIMIT
 
-    rows, cols, vals = [], [], []
+    all_cols = np.arange(dim, dtype=np.int64)
+    no_index = np.empty(0, dtype=np.int64)
+    rows, cols, vals = [no_index], [no_index], [np.empty(0, dtype=complex)]
     for coeff, factors in terms:
         if coeff == 0:
             continue
-        for col, state in enumerate(basis):
-            res = _apply_word(state.word, L, list(factors))
-            if res is None:
-                continue
-            sign, word = res
-            row = index.get(word)
-            if row is None:
-                raise ValueError(
-                    f"operator term {list(factors)} leaves sector {sector}: "
-                    f"maps word {state.word:#x} to {word:#x}"
-                )
-            rows.append(row)
-            cols.append(col)
-            vals.append(sign * coeff)
+        factors = list(factors)
+        # act right to left on every basis word at once; each factor keeps
+        # the unblocked words, adds the parity of the modes below it, and
+        # flips its own bit
+        w, col, odd = words, all_cols, np.zeros(dim, dtype=np.int64)
+        for kind, spin, site in reversed(factors):
+            m = mode_index(L, spin, site)
+            if kind == CREATE:
+                keep = ((w >> m) & 1) == 0
+            elif kind == ANNIHILATE:
+                keep = ((w >> m) & 1) == 1
+            else:
+                raise ValueError(f"unknown operator kind {kind!r}")
+            w, col, odd = w[keep], col[keep], odd[keep]
+            odd = odd ^ _parity(w & ((1 << m) - 1))
+            w = w ^ (1 << m)
+        row = np.minimum(np.searchsorted(words, w), dim - 1)
+        outside = words[row] != w
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"operator term {factors} leaves sector {sector}: "
+                f"maps word {int(words[col[i]]):#x} to {int(w[i]):#x}"
+            )
+        c = complex(coeff)
+        rows.append(row)
+        cols.append(col)
+        vals.append(np.where(odd == 1, -c, c))
 
     mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
     ).tocsr()
     mat.sum_duplicates()
     if dense:
@@ -231,13 +233,13 @@ def assemble_operator(
 
 def basis_vector(L: int, state: FockState, sector: Optional[Sector] = None) -> np.ndarray:
     """Unit amplitude vector of a basis state in the enumerated basis."""
-    basis = enumerate_basis(L, sector)
-    vec = np.zeros(len(basis), dtype=complex)
-    for i, s in enumerate(basis):
-        if s.word == state.word:
-            vec[i] = 1.0
-            return vec
-    raise ValueError("state not contained in the enumerated basis")
+    words = _basis_words(L, sector)
+    i = int(np.searchsorted(words, state.word))
+    if i == len(words) or words[i] != state.word:
+        raise ValueError("state not contained in the enumerated basis")
+    vec = np.zeros(len(words), dtype=complex)
+    vec[i] = 1.0
+    return vec
 
 
 def vacuum_state(L: int) -> FockState:

@@ -522,37 +522,23 @@ def _even_site_flip(L: int) -> np.ndarray:
 
 def translation_operator(L: int) -> Matrix:
     """One-site shift on the fermionic chain, T c(j) T^dag = c(j+1), with the
-    permutation sign of reordering the shifted modes."""
-    fock._check_L(L)
-    basis = fock.enumerate_basis(L)
-    index = {s.word: i for i, s in enumerate(basis)}
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis):
-        modes = [m for m in range(2 * L) if (state.word >> m) & 1]
-        shifted = [_shift_mode(m, L) for m in modes]
-        sign = _permutation_sign(shifted)
-        word = 0
-        for m in shifted:
-            word |= 1 << m
-        rows.append(index[word])
-        cols.append(col)
-        vals.append(sign)
-    return sp.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(len(basis), len(basis))
-    ).toarray()
+    permutation sign of reordering the shifted modes.
 
+    The shift rotates the up bits and the down bits of a word separately.
+    Reordering only moves the wrapped mode of each spin block (L -> 1) past
+    the other occupied modes of its block, so the sign is
+    (-1)^(n(up, L) (N_up - 1) + n(down, L) (N_down - 1)).
+    """
+    words = fock._basis_words(L)
+    mask = (1 << L) - 1
+    up, down = words & mask, words >> L
 
-def _shift_mode(m: int, L: int) -> int:
-    if m < L:
-        return (m + 1) % L
-    return L + (m - L + 1) % L
+    def rotate(block):
+        return ((block << 1) | (block >> (L - 1))) & mask
 
+    def wrap_odd(block):
+        return (block >> (L - 1)) & (fock._parity(block) ^ 1)
 
-def _permutation_sign(seq: Sequence[int]) -> int:
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for k in range(i + 1, n):
-            if seq[i] > seq[k]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    t = np.zeros((len(words), len(words)), dtype=complex)
+    t[rotate(up) | (rotate(down) << L), words] = 1 - 2 * (wrap_odd(up) ^ wrap_odd(down))
+    return t

@@ -173,16 +173,10 @@ def _table10_state(which: str, L: int) -> np.ndarray:
         a[base] = 1.0
         a[partner] = np.exp(1j * np.pi * (2 * j - 1) / 2)
         local.append(a)
-    dim = 4**L
-    v = np.zeros(dim, dtype=complex)
-    for idx in range(dim):
-        amp = 1.0 + 0j
-        for j in range(1, L + 1):
-            i_loc = ((idx >> (j - 1)) & 1) + 2 * ((idx >> (L + j - 1)) & 1)
-            amp *= local[j - 1][i_loc]
-            if amp == 0:
-                break
-        v[idx] = amp
+    idx = np.arange(4**L, dtype=np.int64)
+    v = np.ones(4**L, dtype=complex)
+    for j in range(1, L + 1):
+        v *= local[j - 1][((idx >> (j - 1)) & 1) + 2 * ((idx >> (L + j - 1)) & 1)]
     return v
 
 

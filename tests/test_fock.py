@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargepair import fock
 from chargepair.fock import (
@@ -42,6 +45,20 @@ class TestEnumeration:
     def test_sector_dimension_formula(self):
         assert fock.sector_dimension(4, Sector(2, 1)) == 6 * 4
         assert fock.sector_dimension(3, None) == 64
+
+
+class TestBasisVector:
+    def test_unit_vector_at_sector_position(self):
+        sector = Sector(1, 1)
+        basis = enumerate_basis(2, sector)
+        for i, state in enumerate(basis):
+            assert np.array_equal(fock.basis_vector(2, state, sector), np.eye(4)[i])
+
+    def test_state_outside_sector_raises(self):
+        with pytest.raises(ValueError, match="not contained"):
+            fock.basis_vector(2, fock.vacuum_state(2), Sector(1, 1))
+        with pytest.raises(ValueError, match="not contained"):
+            fock.basis_vector(2, FockState(0b11, 0b11, 2), Sector(1, 1))
 
 
 class TestApplyMode:
@@ -112,6 +129,24 @@ class TestAssemble:
         with pytest.raises(ValueError, match="sector"):
             assemble_operator(2, [(1.0, [op(CREATE, UP, 1)])], sector=Sector(1, 0))
 
+    def test_sector_violation_names_the_words(self):
+        # c+_up(1) sends the word 0x2 (up electron on site 2) to 0x3
+        with pytest.raises(ValueError, match="0x2 to 0x3"):
+            assemble_operator(2, [(1.0, [op(CREATE, UP, 1)])], sector=Sector(1, 0))
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            assemble_operator(2, [(1.0, [("hop", UP, 1)])])
+
+    def test_zero_coefficient_skipped(self):
+        mat = assemble_operator(2, [(0.0, [op(CREATE, UP, 1)])], sector=Sector(1, 0))
+        assert mat.shape == (2, 2) and not np.any(mat)
+
+    def test_sparse_above_dense_limit(self):
+        mat = assemble_operator(7, [(1.0, [op(CREATE, UP, 1), op(ANNIHILATE, UP, 1)])])
+        assert sp.issparse(mat) and mat.dtype == complex
+        assert mat.nnz == 4**7 // 2
+
     def test_sector_preserving_assembly(self):
         hop = assemble_operator(
             2,
@@ -154,3 +189,51 @@ def test_canonical_anticommutation_spot_l4():
         anti = a @ c + c @ a
         expected = eye if m1 == m2 else 0.0
         assert np.max(np.abs(anti - expected)) < 1e-14
+
+
+@st.composite
+def single_terms(draw):
+    """(L, sector or None, coefficient, 1-4 mode operators) with L <= 5."""
+    L = draw(st.integers(1, 5))
+    sector = draw(st.none() | st.builds(Sector, st.integers(0, L), st.integers(0, L)))
+    factor = st.tuples(
+        st.sampled_from((CREATE, ANNIHILATE)), st.sampled_from((UP, DOWN)), st.integers(1, L)
+    )
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    coeff = draw(st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+    return L, sector, coeff, factors
+
+
+def folded_columns(L, sector, coeff, factors):
+    """Matrix whose columns fold apply_mode over each basis state, rightmost
+    factor first; None when some state is sent outside the sector."""
+    basis = enumerate_basis(L, sector)
+    row_of = {s.word: i for i, s in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)), dtype=complex)
+    for col, state in enumerate(basis):
+        sign = 1
+        for factor in reversed(factors):
+            res = apply_mode(state, *factor)
+            if res is None:
+                break
+            step, state = res
+            sign *= step
+        else:
+            if state.word not in row_of:
+                return None
+            mat[row_of[state.word], col] = sign * coeff
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_terms())
+def test_assembly_matches_folded_apply_mode(case):
+    L, sector, coeff, factors = case
+    expected = folded_columns(L, sector, coeff, factors)
+    if coeff == 0:
+        expected = np.zeros((fock.sector_dimension(L, sector),) * 2)
+    if expected is None:
+        with pytest.raises(ValueError, match="leaves sector"):
+            assemble_operator(L, [(coeff, factors)], sector=sector)
+        return
+    assert np.array_equal(assemble_operator(L, [(coeff, factors)], sector=sector), expected)

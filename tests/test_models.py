@@ -281,8 +281,21 @@ class TestExtendedModel:
 
 
 def test_translation_symmetry():
-    for L in (2, 3):
+    for L in (2, 3, 4):
         t = models.translation_operator(L)
         hc = dense(build_model("charge_pair", ModelParams(L=L, U=1.0)))
         assert maxabs(t @ hc - hc @ t) < 1e-13
         assert maxabs(t @ t.conj().T - np.eye(4**L)) < 1e-14
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("spin", [UP, DOWN])
+def test_translation_shifts_every_mode(L, spin):
+    # T c(j) T^dag = c(j+1) with site L wrapping round to site 1
+    t = models.translation_operator(L)
+    for j in range(1, L + 1):
+        c_here = dense(fock.assemble_operator(L, [(1.0, [(fock.ANNIHILATE, spin, j)])]))
+        c_next = dense(
+            fock.assemble_operator(L, [(1.0, [(fock.ANNIHILATE, spin, j % L + 1)])])
+        )
+        assert maxabs(t @ c_here @ t.conj().T - c_next) < 1e-14
