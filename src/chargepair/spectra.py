@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import fock, models
 from .fock import Matrix, Sector
@@ -42,13 +43,24 @@ def _as_dense(h: Matrix) -> np.ndarray:
     return h.toarray() if sp.issparse(h) else np.asarray(h)
 
 
-def _check_hermitian(h: Matrix, tol: float = 1e-10) -> None:
-    if sp.issparse(h):
-        dev = abs(h - h.conj().T).max()
-    else:
-        dev = np.max(np.abs(h - h.conj().T))
+def _check_hermitian(h: sp.csr_matrix, tol: float = 1e-10) -> None:
+    dev = abs(h - h.conj().T).max()
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+
+
+def _blockwise_eigvalsh(h: sp.csr_matrix) -> np.ndarray:
+    """Sorted eigenvalues, one dense ``eigvalsh`` per connected component of the
+    nonzero pattern.  The graph is built from the pattern, not the values: a
+    purely imaginary coupling cast to float would read as zero and cut a
+    block apart.  A stable sort keeps each block's rows in their original
+    order, so ``eigvalsh`` reads the same lower-triangle entries as in ``h``."""
+    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+    _, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    pieces = [np.linalg.eigvalsh(_as_dense(h[b][:, b])) for b in blocks]
+    return np.sort(np.concatenate(pieces))
 
 
 def _group_degeneracies(ev: np.ndarray) -> np.ndarray:
@@ -72,22 +84,28 @@ def spectrum(
 ) -> SpectrumReport:
     """Sorted eigenvalues with degeneracy counts.
 
-    Full dense diagonalization up to dimension ``FULL_DIAG_LIMIT``; above
-    that, or when ``k`` is given for a large matrix, a Lanczos solve of the
-    lowest k eigenvalues with an explicit residual check against ghosts.
+    Full diagonalization up to dimension ``FULL_DIAG_LIMIT``: one dense
+    ``eigvalsh`` per connected block of the nonzero pattern, in real
+    arithmetic when every entry is real.  Above that, or when ``k`` is given
+    for a large matrix, a Lanczos solve of the lowest k eigenvalues with an
+    explicit residual check against ghosts.
     """
-    _check_hermitian(h)
-    dim = h.shape[0]
+    if k is not None and k < 1:
+        raise ValueError(f"eigenvalue count k must be at least 1, got {k}")
+    hs = sp.csr_matrix(h)
+    if np.iscomplexobj(hs.data) and not np.any(hs.data.imag):
+        hs = hs.real
+    _check_hermitian(hs)
+    dim = hs.shape[0]
     if k is None and dim > FULL_DIAG_LIMIT:
         raise ValueError(
             f"dimension {dim} needs an explicit eigenvalue count k for the iterative solver"
         )
     if dim <= FULL_DIAG_LIMIT and (k is None or k >= dim - 1):
-        ev = np.linalg.eigvalsh(_as_dense(h))
+        ev = _blockwise_eigvalsh(hs)
         if k is not None:
             ev = ev[:k]
     else:
-        hs = h if sp.issparse(h) else sp.csr_matrix(h)
         vals, vecs = spla.eigsh(hs, k=k, which="SA")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]

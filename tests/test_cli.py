@@ -163,6 +163,12 @@ class TestExitCodes:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_spectrum_needs_positive_k(self, capsys):
+        code = cli.main(["spectrum", "--model", "charge_pair", "--L", "2", "--U", "2",
+                         "--k", "0"])
+        assert code == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         def boom(L, U, parity):
             raise bethe.SolverError("did not converge", residual=1.0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chargepair import fock, models
+from chargepair import bethe, fock, models
 from chargepair.fock import DOWN, UP, Sector
 from chargepair.models import ModelParams, build_model, basis_rotation
+from chargepair.spectra import spectrum
 
 
 def dense(m):
@@ -249,6 +250,23 @@ class TestSectorStructure:
         union = np.sort(np.concatenate(pieces))
         full = sorted_spectrum("charge_pair", p)
         assert maxabs(union - full) <= 1e-11
+
+    def test_sector_blocks_tile_the_blockwise_spectrum_l6(self):
+        # spectra.spectrum splits the full space into blocks of its own; the
+        # 49 particle-number blocks of the transformed model, each by plain
+        # eigvalsh, are the independent reference
+        L, U = 6, 2.0
+        p = ModelParams(L=L, U=U)
+        pieces = [
+            np.linalg.eigvalsh(dense(build_model("charge_pair_transformed", p,
+                                                 sector=Sector(n_up, n_down))))
+            for n_up in range(L + 1) for n_down in range(L + 1)
+        ]
+        assert len(pieces) == 49
+        union = np.sort(np.concatenate(pieces))
+        full = spectrum(build_model("charge_pair", p)).eigenvalues
+        assert maxabs(union - full) <= 1e-10
+        assert abs(full[0] - bethe.state_energy("ground", L, U)) <= 1e-10
 
 
 class TestExtendedModel:

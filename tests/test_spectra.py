@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargepair import fock, models, spectra
 from chargepair.fock import Sector
@@ -44,6 +46,27 @@ class TestSpectrum:
         full = np.linalg.eigvalsh(h)
         rep = spectrum(sp.csr_matrix(h), k=4)
         assert np.max(np.abs(rep.eigenvalues[:4] - full[:4])) < 1e-8
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_eigenvalue_count_below_one_rejected(self, k):
+        for h in (np.eye(1), np.eye(3), sp.identity(5000, format="csr")):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                spectrum(h, k=k)
+
+    def test_real_blocks_reach_eigvalsh_as_float64(self, monkeypatch):
+        seen, as_dense = [], spectra._as_dense
+
+        def record(h):
+            seen.append(as_dense(h))
+            return seen[-1]
+
+        monkeypatch.setattr(spectra, "_as_dense", record)
+        spectrum(build_model("charge_pair", ModelParams(L=4, U=2.0)))
+        assert len(seen) > 1 and sum(len(b) for b in seen) == 256
+        assert all(b.dtype == np.float64 for b in seen)
+        seen.clear()
+        spectrum(build_model("charge_pair_transformed", ModelParams(L=3, U=2.0)))
+        assert any(np.iscomplexobj(b) for b in seen)
 
     def test_large_dimension_needs_k(self):
         big = sp.identity(5000, format="csr", dtype=complex)
@@ -171,3 +194,47 @@ def test_product_state_energies_present_for_all_sizes(U):
     for L in range(2, 7):
         assert reference_state_residual("table1_plus", L, U) < 1e-12
         assert reference_state_residual("table1_ferro", L, U) < 1e-12
+
+
+@st.composite
+def hidden_blocks(draw):
+    """Hermitian block-diagonal matrix with its rows and columns shuffled by a
+    random permutation.  Each block is connected through a chain of nonzero
+    couplings, plus random extra couplings; integer diagonals make exact
+    degeneracies between blocks likely."""
+    sizes = draw(st.one_of(
+        st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        st.integers(1, 12).map(lambda n: [1] * n),      # all diagonal
+        st.integers(2, 12).map(lambda n: [n]),          # one block
+    ))
+    coupling = draw(st.sampled_from(("real", "complex", "imaginary")))
+    fill = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    h = np.diag(rng.integers(-2, 3, size=n).astype(complex))
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(i + 1, start + size):
+                if j == i + 1 or rng.random() < fill:
+                    x = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+                    c = {"real": x, "imaginary": 1j * x,
+                         "complex": x * np.exp(1j * rng.uniform(0, 2 * np.pi))}[coupling]
+                    h[i, j], h[j, i] = c, np.conj(c)
+        start += size
+    perm = rng.permutation(n)
+    return h[perm][:, perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden_blocks())
+def test_blockwise_spectrum_matches_dense_eigvalsh(h):
+    ref = np.linalg.eigvalsh(h)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    for m in (h, sp.csr_matrix(h)):
+        rep = spectrum(m)
+        assert np.max(np.abs(rep.eigenvalues - ref)) <= tol
+        assert np.array_equal(rep.degeneracies, spectra._group_degeneracies(ref))
+        if len(ref) > 1:
+            lowest = spectrum(m, k=len(ref) - 1).eigenvalues
+            assert np.max(np.abs(lowest - ref[:-1])) <= tol
