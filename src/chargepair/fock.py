@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,12 +31,8 @@ ANNIHILATE = "annihilate"
 
 MAX_SITES = 12
 
-#: dimension up to which assembled operators are returned dense
-DENSE_DIM_LIMIT = 4096
-
 Factor = Tuple[str, str, int]
 Term = Tuple[complex, Sequence[Factor]]
-Matrix = Union[np.ndarray, sp.csr_matrix]
 
 
 @dataclass(frozen=True)
@@ -171,20 +167,16 @@ def assemble_operator(
     L: int,
     terms: Iterable[Term],
     sector: Optional[Sector] = None,
-    dense: Optional[bool] = None,
-) -> Matrix:
-    """Assemble sum(coeff * product of mode operators) as a matrix.
+) -> sp.csr_matrix:
+    """Assemble sum(coeff * product of mode operators) as a complex CSR matrix.
 
     Each term is ``(coefficient, factors)`` with factors listed left to right
     as written in the operator product; an empty factor list contributes
     ``coefficient * identity``.  With a sector, any term mapping a sector
-    state outside the block raises.  Returns a dense array up to dimension
-    ``DENSE_DIM_LIMIT`` and a CSR matrix above (overridable via ``dense``).
+    state outside the block raises.
     """
     words = _basis_words(L, sector)
     dim = len(words)
-    if dense is None:
-        dense = dim <= DENSE_DIM_LIMIT
 
     all_cols = np.arange(dim, dtype=np.int64)
     no_index = np.empty(0, dtype=np.int64)
@@ -225,14 +217,16 @@ def assemble_operator(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     ).tocsr()
-    mat.sum_duplicates()
-    if dense:
-        return mat.toarray()
+    # tocsr sums duplicates; drop the ones that cancelled, so that the stored
+    # pattern is the nonzero pattern (spectra splits blocks along it)
+    mat.eliminate_zeros()
     return mat
 
 
 def basis_vector(L: int, state: FockState, sector: Optional[Sector] = None) -> np.ndarray:
     """Unit amplitude vector of a basis state in the enumerated basis."""
+    if state.L != L:
+        raise ValueError(f"state of {state.L} sites in the basis of L={L}")
     words = _basis_words(L, sector)
     i = int(np.searchsorted(words, state.word))
     if i == len(words) or words[i] != state.word:

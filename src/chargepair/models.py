@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fock
-from .fock import ANNIHILATE, CREATE, DOWN, UP, Matrix, Sector
+from .fock import ANNIHILATE, CREATE, DOWN, UP, Sector
 
 MODEL_KINDS = (
     "hubbard",
@@ -149,7 +149,9 @@ def _extended_terms(params: ModelParams) -> List[fock.Term]:
     return terms
 
 
-def build_model(kind: str, params: ModelParams, sector: Optional[Sector] = None) -> Matrix:
+def build_model(
+    kind: str, params: ModelParams, sector: Optional[Sector] = None
+) -> sp.csr_matrix:
     """Matrix of the requested model on the full chain space.
 
     ``sector`` restricts to a particle-number block and is supported for the
@@ -190,7 +192,7 @@ def build_model(kind: str, params: ModelParams, sector: Optional[Sector] = None)
     raise AssertionError(kind)
 
 
-def extended_charges(params: ModelParams) -> Tuple[Matrix, Matrix]:
+def extended_charges(params: ModelParams) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
     """Flux-dressed conserved charges of the extended model.
 
     Returns (S, R) with the extended Hamiltonian satisfying
@@ -228,7 +230,7 @@ def _generator_site_terms(kind: str, j: int) -> List[fock.Term]:
     raise AssertionError(kind)
 
 
-def symmetry_generator(kind: str, L: int) -> Matrix:
+def symmetry_generator(kind: str, L: int) -> sp.csr_matrix:
     """Sum over sites of the on-site spin / pseudo-spin generator; staggered
     variants carry a factor (-1)^j."""
     if kind not in GENERATOR_KINDS:
@@ -288,7 +290,7 @@ def _local_unit_terms(j: int) -> List[List[fock.Term]]:
     return x
 
 
-def local_operator(L: int, j: int, local: np.ndarray) -> Matrix:
+def local_operator(L: int, j: int, local: np.ndarray) -> sp.csr_matrix:
     """Embed a 4x4 on-site operator (local basis empty, up, down, up+down)
     into the chain space, with fermionic sign bookkeeping."""
     x = _local_unit_terms(j)
@@ -314,7 +316,7 @@ def basis_rotation(L: int) -> np.ndarray:
     w = np.eye(4**L, dtype=complex)
     for j in range(1, L + 1):
         vj = local_operator(L, j, _V_LOCAL)
-        w = w @ (vj.toarray() if sp.issparse(vj) else vj)
+        w = w @ vj
     return w
 
 
@@ -323,7 +325,9 @@ def printed_local_rotation() -> np.ndarray:
     return _V_LOCAL.copy()
 
 
-def transformed_fermion_matrix(L: int, spin: str, site: int, dagger: bool = False) -> Matrix:
+def transformed_fermion_matrix(
+    L: int, spin: str, site: int, dagger: bool = False
+) -> sp.csr_matrix:
     """Matrix of the rotated annihilation (or creation) operator d(site) in
     the original basis, built from its linear combination of c and c^dag."""
     cu, au = (CREATE, UP, site), (ANNIHILATE, UP, site)
@@ -400,15 +404,12 @@ def pauli_string_matrix(
 def assemble_pauli(
     n_qubits: int,
     terms: Sequence[Tuple[complex, Sequence[PauliFactor]]],
-    dense: Optional[bool] = None,
-) -> Matrix:
+) -> sp.csr_matrix:
     dim = 1 << n_qubits
     acc = sp.csr_matrix((dim, dim), dtype=complex)
     for coeff, factors in terms:
         acc = acc + pauli_string_matrix(n_qubits, coeff, factors)
-    if dense is None:
-        dense = dim <= fock.DENSE_DIM_LIMIT
-    return acc.toarray() if dense else acc
+    return acc
 
 
 def _sigma(j: int) -> int:
@@ -431,7 +432,7 @@ def _zz_terms(L: int, U: float) -> list:
     return [(U / 4, [(_sigma(j), "z"), (_tau(j, L), "z")]) for j in range(1, L + 1)]
 
 
-def _coupled_spin_chain(L: int, U: float) -> Matrix:
+def _coupled_spin_chain(L: int, U: float) -> sp.csr_matrix:
     """Pairing-coupled chain: uniform sigma/tau pair bonds on every ring bond
     plus the on-site zz coupling."""
     terms = []
@@ -443,7 +444,7 @@ def _coupled_spin_chain(L: int, U: float) -> Matrix:
     return assemble_pauli(2 * L, terms)
 
 
-def _xx_chain_even(L: int, U: float) -> Matrix:
+def _xx_chain_even(L: int, U: float) -> sp.csr_matrix:
     terms = []
     for j in range(1, L + 1):
         jn = _site_next(j, L)
@@ -453,7 +454,7 @@ def _xx_chain_even(L: int, U: float) -> Matrix:
     return assemble_pauli(2 * L, terms)
 
 
-def _xx_chain_odd(L: int, U: float) -> Matrix:
+def _xx_chain_odd(L: int, U: float) -> sp.csr_matrix:
     terms = []
     for j in range(1, L):
         terms += _xx_bond(_sigma(j), _sigma(j + 1))
@@ -464,7 +465,7 @@ def _xx_chain_odd(L: int, U: float) -> Matrix:
     return assemble_pauli(2 * L, terms)
 
 
-def jordan_wigner_image(L: int, U: float) -> Matrix:
+def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
     """Pauli-string matrix of the pairing chain: open pair bonds, on-site zz
     coupling, and the string-dressed boundary terms.
 
@@ -500,13 +501,10 @@ def sublattice_rotation_check(L: int, U: float) -> float:
     hs = _coupled_spin_chain(L, U)
     target = _xx_chain_even(L, U) if L % 2 == 0 else _xx_chain_odd(L, U)
     w = _even_site_flip(L)
-    hs = hs.toarray() if sp.issparse(hs) else hs
-    target = target.toarray() if sp.issparse(target) else target
-    rotated = w @ hs @ w.conj().T
-    return float(np.max(np.abs(rotated - target)))
+    return float(abs(w @ hs @ w.T - target).max())
 
 
-def _even_site_flip(L: int) -> np.ndarray:
+def _even_site_flip(L: int) -> sp.csr_matrix:
     """Product of sigma^x tau^x over even sites (spin flip on those sites)."""
     dim = 1 << (2 * L)
     mask = 0
@@ -515,12 +513,10 @@ def _even_site_flip(L: int) -> np.ndarray:
         mask |= 1 << _tau(j, L)
     cols = np.arange(dim, dtype=np.int64)
     rows = cols ^ mask
-    return sp.coo_matrix(
-        (np.ones(dim), (rows, cols)), shape=(dim, dim)
-    ).toarray().astype(complex)
+    return sp.coo_matrix((np.ones(dim), (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def translation_operator(L: int) -> Matrix:
+def translation_operator(L: int) -> sp.csr_matrix:
     """One-site shift on the fermionic chain, T c(j) T^dag = c(j+1), with the
     permutation sign of reordering the shifted modes.
 
@@ -539,6 +535,7 @@ def translation_operator(L: int) -> Matrix:
     def wrap_odd(block):
         return (block >> (L - 1)) & (fock._parity(block) ^ 1)
 
-    t = np.zeros((len(words), len(words)), dtype=complex)
-    t[rotate(up) | (rotate(down) << L), words] = 1 - 2 * (wrap_odd(up) ^ wrap_odd(down))
-    return t
+    sign = (1 - 2 * (wrap_odd(up) ^ wrap_odd(down))).astype(complex)
+    return sp.coo_matrix(
+        (sign, (rotate(up) | (rotate(down) << L), words)), shape=(len(words),) * 2
+    ).tocsr()

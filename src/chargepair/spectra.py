@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from . import fock, models
-from .fock import Matrix, Sector
+from .fock import Sector
 from .models import ModelParams
 
 #: full diagonalization up to this dimension, iterative lowest-k above
@@ -39,8 +39,8 @@ class SpectrumReport:
         return np.asarray(out)
 
 
-def _as_dense(h: Matrix) -> np.ndarray:
-    return h.toarray() if sp.issparse(h) else np.asarray(h)
+def _as_dense(h: sp.csr_matrix) -> np.ndarray:
+    return h.toarray()
 
 
 def _check_hermitian(h: sp.csr_matrix, tol: float = 1e-10) -> None:
@@ -76,7 +76,7 @@ def _group_degeneracies(ev: np.ndarray) -> np.ndarray:
 
 
 def spectrum(
-    h: Matrix,
+    h: sp.spmatrix | np.ndarray,
     k: Optional[int] = None,
     sector: Optional[Sector] = None,
     model: Optional[str] = None,
@@ -133,17 +133,12 @@ def compare_spectra(a: SpectrumReport, b: SpectrumReport, tol: float) -> MatchRe
     return MatchReport(dev <= tol, dev, tol)
 
 
-def commutator_norm(a: Matrix, b: Matrix) -> float:
-    """Max-norm of the commutator AB - BA; sparse products for large inputs."""
+def commutator_norm(a: sp.spmatrix | np.ndarray, b: sp.spmatrix | np.ndarray) -> float:
+    """Max-norm of the commutator AB - BA, from sparse products."""
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    if a.shape[0] > 512 or sp.issparse(a) or sp.issparse(b):
-        asp = a if sp.issparse(a) else sp.csr_matrix(a)
-        bsp = b if sp.issparse(b) else sp.csr_matrix(b)
-        comm = asp @ bsp - bsp @ asp
-        return float(abs(comm).max()) if comm.nnz else 0.0
-    comm = np.asarray(a) @ np.asarray(b) - np.asarray(b) @ np.asarray(a)
-    return float(np.max(np.abs(comm)))
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    return float(abs(a @ b - b @ a).max())
 
 
 REFERENCE_STATES = (
@@ -162,17 +157,14 @@ def _table1_state(which: str, L: int) -> np.ndarray:
         sign = 1.0 if which == "table1_plus" else -1.0
         for j in range(L, 0, -1):
             pair = fock.assemble_operator(
-                L, [(1.0, [(fock.CREATE, fock.UP, j), (fock.CREATE, fock.DOWN, j)])],
-                dense=False,
+                L, [(1.0, [(fock.CREATE, fock.UP, j), (fock.CREATE, fock.DOWN, j)])]
             )
             v = v + sign * (pair @ v)
         return v
     # ferromagnet-like product (c+_up + i c+_down) over all sites
     for j in range(L, 0, -1):
         op = fock.assemble_operator(
-            L,
-            [(1.0, [(fock.CREATE, fock.UP, j)]), (1j, [(fock.CREATE, fock.DOWN, j)])],
-            dense=False,
+            L, [(1.0, [(fock.CREATE, fock.UP, j)]), (1j, [(fock.CREATE, fock.DOWN, j)])]
         )
         v = op @ v
     return v
@@ -216,7 +208,6 @@ def reference_state_residual(which: str, L: int, U: float) -> float:
         h = models.build_model("charge_pair", ModelParams(L=L, U=U))
         v = _table1_state(which, L)
         e = -L * U / 4.0 if which == "table1_ferro" else L * U / 4.0
-    h = h if sp.issparse(h) else sp.csr_matrix(h)
     return float(np.linalg.norm(h @ v - e * v) / np.linalg.norm(v))
 
 

@@ -202,15 +202,11 @@ def transfer_matrix(lam: float, U: float, L: int) -> np.ndarray:
 
 def _site_major_permutation(L: int) -> np.ndarray:
     """perm[f] = site-major index of canonical (bit-layout) index f."""
-    dim = 4**L
-    perm = np.empty(dim, dtype=np.int64)
-    for f in range(dim):
-        idx = 0
-        for j in range(1, L + 1):
-            i_loc = ((f >> (j - 1)) & 1) + 2 * ((f >> (L + j - 1)) & 1)
-            idx = idx * 4 + i_loc if j > 1 else i_loc
-        # site 1 most significant
-        perm[f] = idx
+    f = np.arange(4**L, dtype=np.int64)
+    perm = np.zeros_like(f)
+    # local index up_bit + 2 down_bit per site, site 1 most significant
+    for j in range(1, L + 1):
+        perm = 4 * perm + ((f >> (j - 1)) & 1) + 2 * ((f >> (L + j - 1)) & 1)
     return perm
 
 
@@ -248,8 +244,7 @@ def spin_chain_constant_fit(U: float, L: int, delta: float = 1e-4) -> Tuple[floa
     """Residual of the log-derivative against the coupled chain after fitting
     the additive constant; returns (residual, constant)."""
     d = log_derivative_hamiltonian(U, L, delta)
-    hs = models.build_model("spin_coupled", ModelParams(L=L, U=U))
-    hs = hs if isinstance(hs, np.ndarray) else hs.toarray()
+    hs = models.build_model("spin_coupled", ModelParams(L=L, U=U)).toarray()
     c = np.trace(d - hs).real / d.shape[0]
     return float(np.max(np.abs(d - hs - c * np.eye(d.shape[0])))), float(c)
 

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargepair import fock
+from chargepair import fock, models
 from chargepair.fock import (
     ANNIHILATE,
     CREATE,
@@ -16,6 +16,7 @@ from chargepair.fock import (
     assemble_operator,
     enumerate_basis,
 )
+from chargepair.models import ModelParams
 
 
 def op(kind, spin, site):
@@ -53,6 +54,11 @@ class TestBasisVector:
         basis = enumerate_basis(2, sector)
         for i, state in enumerate(basis):
             assert np.array_equal(fock.basis_vector(2, state, sector), np.eye(4)[i])
+
+    def test_state_of_another_length_raises(self):
+        # FockState(1, 1, 2) has the word 0b101, which is a valid L=3 word
+        with pytest.raises(ValueError, match="2 sites in the basis of L=3"):
+            fock.basis_vector(3, FockState(1, 1, 2))
 
     def test_state_outside_sector_raises(self):
         with pytest.raises(ValueError, match="not contained"):
@@ -92,7 +98,7 @@ class TestApplyMode:
 class TestAssemble:
     def test_number_operator_single_site(self):
         n_up = assemble_operator(1, [(1.0, [op(CREATE, UP, 1), op(ANNIHILATE, UP, 1)])])
-        assert np.allclose(n_up, np.diag([0, 1, 0, 1]))
+        assert np.allclose(n_up.toarray(), np.diag([0, 1, 0, 1]))
 
     def test_pair_annihilation_sign(self):
         # c_up(1) c_up(2) sends the doubly up-occupied state to -|vacuum>,
@@ -105,7 +111,7 @@ class TestAssemble:
             col = fock.FockState(0b11, down_bits, 2).word
             row = fock.FockState(0, down_bits, 2).word
             assert mat[row, col] == -1.0
-        assert np.count_nonzero(mat) == 4
+        assert mat.nnz == 4
 
     def test_hermitian_combination(self):
         mat = assemble_operator(
@@ -122,7 +128,7 @@ class TestAssemble:
         t2 = [(1.3j, [op(CREATE, DOWN, 2), op(ANNIHILATE, DOWN, 1)])]
         combined = assemble_operator(3, t1 + t2)
         assert np.allclose(
-            combined, assemble_operator(3, t1) + assemble_operator(3, t2)
+            combined.toarray(), (assemble_operator(3, t1) + assemble_operator(3, t2)).toarray()
         )
 
     def test_sector_violation_detected(self):
@@ -140,12 +146,12 @@ class TestAssemble:
 
     def test_zero_coefficient_skipped(self):
         mat = assemble_operator(2, [(0.0, [op(CREATE, UP, 1)])], sector=Sector(1, 0))
-        assert mat.shape == (2, 2) and not np.any(mat)
+        assert mat.shape == (2, 2) and mat.nnz == 0
 
-    def test_sparse_above_dense_limit(self):
-        mat = assemble_operator(7, [(1.0, [op(CREATE, UP, 1), op(ANNIHILATE, UP, 1)])])
-        assert sp.issparse(mat) and mat.dtype == complex
-        assert mat.nnz == 4**7 // 2
+    def test_cancelled_terms_store_no_entries(self):
+        # the stored pattern is the nonzero pattern that spectra splits blocks by
+        hop = [op(CREATE, UP, 1), op(ANNIHILATE, UP, 2)]
+        assert assemble_operator(2, [(1.0, hop), (-1.0, hop)]).nnz == 0
 
     def test_sector_preserving_assembly(self):
         hop = assemble_operator(
@@ -158,6 +164,39 @@ class TestAssemble:
         )
         assert hop.shape == (4, 4)
         assert np.max(np.abs(hop - hop.conj().T)) < 1e-15
+
+
+N_UP_1 = [(1.0, [op(CREATE, UP, 1), op(ANNIHILATE, UP, 1)])]
+
+#: every operator builder, at the smallest size it accepts
+BUILDERS = {
+    "assemble_operator": lambda: assemble_operator(1, N_UP_1),
+    "assemble_operator_sector": lambda: assemble_operator(1, N_UP_1, Sector(1, 0)),
+    **{
+        kind: lambda kind=kind: models.build_model(
+            kind, ModelParams(L=3 if kind == "spin_xx_odd" else 2, U=1.0)
+        )
+        for kind in models.MODEL_KINDS
+    },
+    **{
+        kind: lambda kind=kind: models.symmetry_generator(kind, 2)
+        for kind in models.GENERATOR_KINDS
+    },
+    "extended_charges_S": lambda: models.extended_charges(ModelParams(L=2, U=1.0))[0],
+    "extended_charges_R": lambda: models.extended_charges(ModelParams(L=2, U=1.0))[1],
+    "transformed_fermion_matrix": lambda: models.transformed_fermion_matrix(2, UP, 1),
+    "transformed_fermion_matrix_dagger": lambda: models.transformed_fermion_matrix(
+        2, DOWN, 2, dagger=True
+    ),
+    "local_operator": lambda: models.local_operator(2, 1, models.printed_local_rotation()),
+    "translation_operator": lambda: models.translation_operator(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_builder_returns_complex_csr(name):
+    mat = BUILDERS[name]()
+    assert isinstance(mat, sp.csr_matrix) and mat.dtype == complex
 
 
 def mode_matrix(L, kind, spin, site):
@@ -236,4 +275,6 @@ def test_assembly_matches_folded_apply_mode(case):
         with pytest.raises(ValueError, match="leaves sector"):
             assemble_operator(L, [(coeff, factors)], sector=sector)
         return
-    assert np.array_equal(assemble_operator(L, [(coeff, factors)], sector=sector), expected)
+    assert np.array_equal(
+        assemble_operator(L, [(coeff, factors)], sector=sector).toarray(), expected
+    )

@@ -299,7 +299,7 @@ class TestExtendedModel:
 
 
 def test_translation_symmetry():
-    for L in (2, 3, 4):
+    for L in (2, 3, 4, 5):
         t = models.translation_operator(L)
         hc = dense(build_model("charge_pair", ModelParams(L=L, U=1.0)))
         assert maxabs(t @ hc - hc @ t) < 1e-13

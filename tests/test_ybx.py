@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chargepair import models, ybx
+from chargepair import fock, models, ybx
 from chargepair.models import ModelParams
 from chargepair.ybx import (
     CurvePoint,
@@ -127,6 +127,21 @@ class TestTransferMatrix:
     def test_zero_parameter_is_one_site_shift(self):
         for L in (2, 3):
             assert maxabs(transfer_matrix(0.0, 2.0, L) - ybx.shift_operator(L)) < 1e-14
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_site_major_permutation_state_by_state(self, L):
+        # the shift and the coupled chain are blind to swapping up and down,
+        # so the local order (empty, up, down, up+down) is checked here;
+        # site 1 is the most significant digit of the site-major index
+        expected = [
+            np.ravel_multi_index(
+                [(s.up_bits >> (j - 1) & 1) + 2 * (s.down_bits >> (j - 1) & 1)
+                 for j in range(1, L + 1)],
+                (4,) * L,
+            )
+            for s in fock.enumerate_basis(L)
+        ]
+        assert ybx._site_major_permutation(L).tolist() == expected
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_commuting_family(self, L):
@@ -256,10 +271,12 @@ def test_transfer_hamiltonian_isospectral_chain():
     # log-derivative Hamiltonian -> coupled chain -> pairing chain (odd L)
     U, L = 2.0, 3
     d = ybx.log_derivative_hamiltonian(U, L)
-    hs = models.build_model("spin_coupled", ModelParams(L=L, U=U))
+    hs = models.build_model("spin_coupled", ModelParams(L=L, U=U)).toarray()
     const = np.trace(d - hs).real / d.shape[0]
     ev_d = np.sort(np.linalg.eigvalsh((d + d.conj().T) / 2)) - const
     ev_s = np.sort(np.linalg.eigvalsh(hs))
-    ev_c = np.sort(np.linalg.eigvalsh(models.build_model("charge_pair", ModelParams(L=L, U=U))))
+    ev_c = np.sort(
+        np.linalg.eigvalsh(models.build_model("charge_pair", ModelParams(L=L, U=U)).toarray())
+    )
     assert maxabs(ev_d - ev_s) < 1e-9
     assert maxabs(ev_s - ev_c) < 1e-9
