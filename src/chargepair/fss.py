@@ -177,17 +177,26 @@ def _extrapolate_power(series: FssSeries) -> ExtrapolationResult:
     return ExtrapolationResult(limit, unc, {"mode": "power-law", "w": w_best})
 
 
-def _extrapolate_log(series: FssSeries) -> ExtrapolationResult:
+def _lstsq_limit(series: FssSeries, basis, mode: str) -> ExtrapolationResult:
+    """Constant coefficient of the least-squares fit on the columns
+    ``basis(sizes)``; the uncertainty is its change when the last point is
+    dropped."""
+
     def fit(x, s):
-        a = np.column_stack([np.ones_like(x), 1.0 / np.log(x), 1.0 / x])
-        coef, *_ = np.linalg.lstsq(a, s, rcond=None)
+        coef, *_ = np.linalg.lstsq(basis(x), s, rcond=None)
         return coef[0]
 
     x, s = series.sizes, series.values
     full = fit(x, s)
     drop = fit(x[:-1], s[:-1])
-    return ExtrapolationResult(
-        float(full), max(abs(full - drop), 1e-14), {"mode": "log-corrected"}
+    return ExtrapolationResult(float(full), max(abs(full - drop), 1e-14), {"mode": mode})
+
+
+def _extrapolate_log(series: FssSeries) -> ExtrapolationResult:
+    return _lstsq_limit(
+        series,
+        lambda x: np.column_stack([np.ones_like(x), 1.0 / np.log(x), 1.0 / x]),
+        "log-corrected",
     )
 
 
@@ -219,18 +228,10 @@ def dimension_series_limit(series: FssSeries, U: float) -> ExtrapolationResult:
     a + b / log(L I0(2 pi / U))^2.
     """
     i0 = liebwu.bessel("I0", 2.0 * np.pi / U)
-
-    def fit(x, s):
-        u2 = 1.0 / np.log(x * i0) ** 2
-        a = np.column_stack([np.ones_like(x), u2])
-        coef, *_ = np.linalg.lstsq(a, s, rcond=None)
-        return coef[0]
-
-    x, s = series.sizes, series.values
-    full = fit(x, s)
-    drop = fit(x[:-1], s[:-1])
-    return ExtrapolationResult(
-        float(full), max(abs(full - drop), 1e-14), {"mode": "inverse-log-squared"}
+    return _lstsq_limit(
+        series,
+        lambda x: np.column_stack([np.ones_like(x), 1.0 / np.log(x * i0) ** 2]),
+        "inverse-log-squared",
     )
 
 

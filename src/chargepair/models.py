@@ -303,7 +303,7 @@ def local_operator(L: int, j: int, local: np.ndarray) -> sp.csr_matrix:
     return fock.assemble_operator(L, terms)
 
 
-def basis_rotation(L: int) -> np.ndarray:
+def basis_rotation(L: int) -> sp.csr_matrix:
     """Product over sites of the on-site unitary that trades the pairing form
     for the imaginary-hopping form.
 
@@ -313,7 +313,7 @@ def basis_rotation(L: int) -> np.ndarray:
     kernel's sign bookkeeping.
     """
     fock._check_L(L)
-    w = np.eye(4**L, dtype=complex)
+    w = sp.identity(4**L, dtype=complex, format="csr")
     for j in range(1, L + 1):
         vj = local_operator(L, j, _V_LOCAL)
         w = w @ vj

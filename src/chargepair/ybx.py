@@ -14,11 +14,11 @@ as kron(I2, s) and tau operators as kron(t, I2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import models
+from . import fock, models
 from .models import ModelParams
 
 _ID2 = np.eye(2)
@@ -92,33 +92,43 @@ def _pauli_pair(a: np.ndarray, b: np.ndarray, family: str) -> np.ndarray:
     return _kron(a, _ID2, b, _ID2)
 
 
+_FAMILIES = ("sigma", "tau")
+_DIAG = {f: 0.5 * (np.eye(16) + _pauli_pair(_Z, _Z, f)) for f in _FAMILIES}
+_HOP = {f: _pauli_pair(_SP, _SM, f) + _pauli_pair(_SM, _SP, f) for f in _FAMILIES}
+_PAIR = {f: _pauli_pair(_SP, _SP, f) + _pauli_pair(_SM, _SM, f) for f in _FAMILIES}
+
+
 def single_lax(lam: float, family: str) -> np.ndarray:
     """One free-fermion eight-vertex block acting on the family qubits of
     two local spaces (16 x 16)."""
-    c, d = np.cos(lam), np.sin(lam)
-    eye = np.eye(16)
-    zz = _pauli_pair(_Z, _Z, family)
-    hop = _pauli_pair(_SP, _SM, family) + _pauli_pair(_SM, _SP, family)
-    pair = _pauli_pair(_SP, _SP, family) + _pauli_pair(_SM, _SM, family)
-    return 0.5 * (eye + zz) + c * hop + d * pair
+    return _DIAG[family] + np.cos(lam) * _HOP[family] + np.sin(lam) * _PAIR[family]
+
+
+#: (zz + 1) / 2 on one local space, and the same on the auxiliary space of
+#: an (auxiliary, site) pair: the generator of the coupling dressing
+_ZZ_HALF = 0.5 * (np.diag(_kron(_Z, _Z)) + 1.0)
+_D = np.kron(np.diag(_ZZ_HALF), np.eye(4))
+_ZZ_AUX = _kron(_Z, _Z, np.eye(4))
 
 
 def coupled_lax(lam: float, U: float) -> np.ndarray:
     """Shastry-coupled Lax operator on (auxiliary space, site space)."""
-    h = coupling_h(lam, U)
-    zz4 = _kron(_Z, _Z)
-    e_half = np.diag(np.exp(0.5 * h * (np.diag(zz4) + 1.0)))
-    e16 = _kron(e_half, np.eye(4))
+    e16 = np.diag(np.exp(coupling_h(lam, U) * np.diag(_D)))
     return e16 @ (single_lax(lam, "sigma") @ single_lax(lam, "tau")) @ e16
+
+
+def _lax_derivative(U: float) -> np.ndarray:
+    """Exact d/d lam of ``coupled_lax`` at lam = 0, where h' = U/4, the
+    dressing is the identity and each block's derivative is its pair term."""
+    s_sigma, s_tau = single_lax(0.0, "sigma"), single_lax(0.0, "tau")
+    s0 = s_sigma @ s_tau
+    return 0.25 * U * (_D @ s0 + s0 @ _D) + _PAIR["sigma"] @ s_tau + s_sigma @ _PAIR["tau"]
 
 
 def _coupling_dressing(h1: float, h2: float) -> np.ndarray:
     """exp[(h1/2)(zz+1)] on the first space times exp[(h2/2)(zz+1)] on the
     second: the same dressing that wraps the coupled Lax operator."""
-    zz4 = np.diag(_kron(_Z, _Z))
-    d1 = np.diag(np.exp(0.5 * h1 * (zz4 + 1.0)))
-    d2 = np.diag(np.exp(0.5 * h2 * (zz4 + 1.0)))
-    return _kron(d1, d2)
+    return _kron(np.diag(np.exp(h1 * _ZZ_HALF)), np.diag(np.exp(h2 * _ZZ_HALF)))
 
 
 def shastry_r(lam1: float, lam2: float, U: float) -> np.ndarray:
@@ -134,38 +144,31 @@ def shastry_r(lam1: float, lam2: float, U: float) -> np.ndarray:
     dh = h1 - h2
     lm, lp = lam1 - lam2, lam1 + lam2
     first = np.cos(lp) * np.cosh(dh) * (single_lax(lm, "sigma") @ single_lax(lm, "tau"))
-    zz_first = _kron(_kron(_Z, _Z), np.eye(4))
     second = (
         np.cos(lm)
         * np.sinh(dh)
         * (single_lax(lp, "sigma") @ single_lax(lp, "tau"))
-        @ zz_first
+        @ _ZZ_AUX
     )
     dress = _coupling_dressing(h1, h2)
     undress = _coupling_dressing(-h1, -h2)
     return dress @ (first + second) @ undress
 
 
-def _embed_pair(a: np.ndarray, spaces: Tuple[int, int], d: int = 4) -> np.ndarray:
+#: swap of two 4-dim spaces, embedded on spaces (1, 2) of a triple product
+_SWAP_12 = np.kron(np.eye(4), np.eye(16).reshape(4, 4, 4, 4).transpose(1, 0, 2, 3).reshape(16, 16))
+
+
+def _embed_pair(a: np.ndarray, spaces: Tuple[int, int]) -> np.ndarray:
     """Embed a two-space operator into the triple product space."""
-    eye = np.eye(d)
+    eye = np.eye(4)
     if spaces == (0, 1):
         return np.kron(a, eye)
     if spaces == (1, 2):
         return np.kron(eye, a)
     if spaces == (0, 2):
-        swap = _swap_matrix(d)
-        s23 = np.kron(eye, swap)
-        return s23 @ np.kron(a, eye) @ s23
+        return _SWAP_12 @ np.kron(a, eye) @ _SWAP_12
     raise ValueError(f"unsupported space pair {spaces}")
-
-
-def _swap_matrix(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
 
 
 def ybe_residual_spin(lam1: float, lam2: float, U: float) -> float:
@@ -180,24 +183,32 @@ def ybe_residual_spin(lam1: float, lam2: float, U: float) -> float:
 # transfer matrix
 
 
-def transfer_matrix(lam: float, U: float, L: int) -> np.ndarray:
-    """Trace over the auxiliary space of the ordered product of Lax
-    operators; returned on the canonical qubit layout of :mod:`models`.
-
-    At lam = 0 this is the one-site shift."""
+def _trace_product(laxes: Sequence[np.ndarray]) -> np.ndarray:
+    """Trace over the auxiliary space of the ordered product of one
+    (auxiliary, site) Lax operator per site; returned on the canonical qubit
+    layout of :mod:`models`."""
+    L = len(laxes)
     if L > 4:
         raise ValueError("transfer matrices are kept to L <= 4")
     if L < 2:
         raise ValueError("needs L >= 2")
-    lax = coupled_lax(lam, U).reshape(4, 4, 4, 4)   # [a_out, i_out, a_in, i_in]
-    mono = lax.transpose(0, 2, 1, 3)                # [a_out, a_in, i_out, i_in]
-    for _ in range(L - 1):
-        mono = np.einsum("abIJ,bcij->acIiJj", mono, lax.transpose(0, 2, 1, 3))
+    # each Lax operator as [a_out, a_in, i_out, i_in]
+    mono = laxes[0].reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    for lax in laxes[1:]:
+        mono = np.einsum("abIJ,bcij->acIiJj", mono, lax.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3))
         s = mono.shape
         mono = mono.reshape(s[0], s[1], s[2] * s[3], s[4] * s[5])
     t_site_major = np.einsum("aaIJ->IJ", mono)
     perm = _site_major_permutation(L)
     return t_site_major[np.ix_(perm, perm)]
+
+
+def transfer_matrix(lam: float, U: float, L: int) -> np.ndarray:
+    """Trace over the auxiliary space of the ordered product of L Lax
+    operators; returned on the canonical qubit layout of :mod:`models`.
+
+    At lam = 0 this is the one-site shift."""
+    return _trace_product([coupled_lax(lam, U)] * L)
 
 
 def _site_major_permutation(L: int) -> np.ndarray:
@@ -227,23 +238,20 @@ def shift_operator(L: int) -> np.ndarray:
     return t
 
 
-def log_derivative_hamiltonian(U: float, L: int, delta: float = 1e-4) -> np.ndarray:
-    """d/d lam log T at lam = 0 via central differences with one Richardson
-    step; equals the coupled spin chain plus a multiple of the identity."""
-    t0_inv = np.linalg.inv(transfer_matrix(0.0, U, L))
-
-    def diff(step):
-        return (transfer_matrix(step, U, L) - transfer_matrix(-step, U, L)) / (2 * step) @ t0_inv
-
-    d1 = diff(delta)
-    d2 = diff(delta / 2)
-    return (4.0 * d2 - d1) / 3.0
+def log_derivative_hamiltonian(U: float, L: int) -> np.ndarray:
+    """d/d lam log T at lam = 0, exactly: T'(0) is the product-rule sum of
+    the traces with the Lax derivative at one site, and T(0) is the one-site
+    shift, whose inverse is its transpose.  Equals the coupled spin chain
+    plus a multiple of the identity."""
+    l0, dl = coupled_lax(0.0, U), _lax_derivative(U)
+    dt = sum(_trace_product([dl if k == j else l0 for k in range(L)]) for j in range(L))
+    return dt @ _trace_product([l0] * L).T
 
 
-def spin_chain_constant_fit(U: float, L: int, delta: float = 1e-4) -> Tuple[float, float]:
+def spin_chain_constant_fit(U: float, L: int) -> Tuple[float, float]:
     """Residual of the log-derivative against the coupled chain after fitting
     the additive constant; returns (residual, constant)."""
-    d = log_derivative_hamiltonian(U, L, delta)
+    d = log_derivative_hamiltonian(U, L)
     hs = models.build_model("spin_coupled", ModelParams(L=L, U=U)).toarray()
     c = np.trace(d - hs).real / d.shape[0]
     return float(np.max(np.abs(d - hs - c * np.eye(d.shape[0])))), float(c)
@@ -437,93 +445,36 @@ def regular_point(U: float) -> CurvePoint:
     return CurvePoint(1.0, 0.0, U)
 
 
-def density_expansion(U: float, base_lambda: float = 4e-2, levels: int = 6) -> np.ndarray:
-    """Two-body Hamiltonian density extracted from the first-order expansion
-    of the fermionic Lax operator around the regular point.
+def density_expansion(U: float) -> np.ndarray:
+    """Two-body Hamiltonian density: the first-order term of the fermionic
+    Lax operator around the regular point in the second spectral variable y.
 
-    The expansion parameter is the second spectral variable y; finite
-    differences at a geometric ladder of y values are Richardson-refined to
-    the limit y -> 0.
+    The graded Lax operator is the twisted coupled one, its graded-permuted
+    form is the identity at the regular point and dy/d lam = 1 there, so the
+    term is the twisted exact Lax derivative.
     """
-    pg = graded_permutation()
-    eye = np.eye(16)
-    lams = [base_lambda / (2**i) for i in range(levels)]
-    eps = []
-    tableau = []
-    for lam in lams:
-        p = curve_point(lam, U)
-        eps.append(p.y)
-        tableau.append((pg @ graded_lax(p) - eye) / p.y)
-    # Neville extrapolation of the matrix samples to eps = 0
-    for m in range(1, levels):
-        tableau = [
-            (eps[i] * tableau[i + 1] - eps[i + m] * tableau[i]) / (eps[i] - eps[i + m])
-            for i in range(levels - m)
-        ]
-    return tableau[0]
+    return graded_permutation() @ _TWIST_M @ _lax_derivative(U) @ _TWIST_MBAR
 
 
 def two_site_density_reference(U: float) -> np.ndarray:
     """The printed two-body density as a fermionic 16 x 16 matrix: pairing
     terms for both spins plus half the on-site interaction of each end plus
-    U/4 times the identity (site-major mode order up1, down1, up2, down2)."""
-    mat = np.zeros((16, 16), dtype=complex)
-    # pairing: c(1) c(2) + c+(2) c+(1) for each spin
-    for spin_off in (0, 1):   # up modes are bits 0/2, down modes bits 1/3
-        m1, m2 = spin_off, spin_off + 2
-        mat += _ts_pair(m1, m2)
-    for site in (0, 1):
-        mat += 0.5 * U * _ts_interaction(site)
-    mat += 0.25 * U * np.eye(16)
-    return _site_major_to_local(mat)
-
-
-def _ts_apply(word: int, mode: int, create: bool) -> Optional[Tuple[int, int]]:
-    occ = (word >> mode) & 1
-    if create == bool(occ):
-        return None
-    sign = -1 if bin(word & ((1 << mode) - 1)).count("1") & 1 else 1
-    return sign, word ^ (1 << mode)
-
-
-def _ts_matrix(ops: Sequence[Tuple[int, bool]]) -> np.ndarray:
-    """Two-site operator product in the mode-word basis (modes up1, down1,
-    up2, down2 on bits 0..3), rightmost factor applied first."""
-    m = np.zeros((16, 16))
-    for col in range(16):
-        word, sign = col, 1
-        ok = True
-        for mode, create in reversed(list(ops)):
-            res = _ts_apply(word, mode, create)
-            if res is None:
-                ok = False
-                break
-            s, word = res
-            sign *= s
-        if ok:
-            m[word, col] += sign
-    return m
-
-
-def _ts_pair(m1: int, m2: int) -> np.ndarray:
-    ann = _ts_matrix([(m1, False), (m2, False)])
-    return ann + ann.conj().T
-
-
-def _ts_interaction(site: int) -> np.ndarray:
-    up, down = 2 * site, 2 * site + 1
-    n_up = _ts_matrix([(up, True), (up, False)])
-    n_down = _ts_matrix([(down, True), (down, False)])
-    eye = np.eye(16)
-    return (n_up - 0.5 * eye) @ (n_down - 0.5 * eye)
-
-
-def _site_major_to_local(mat: np.ndarray) -> np.ndarray:
-    """Reindex from the mode-word basis to the local-state basis
-    (4 * i_site1 + i_site2 with i = n_up + 2 n_down)."""
-    perm = np.empty(16, dtype=np.int64)
-    for word in range(16):
-        i1 = (word & 1) + 2 * ((word >> 1) & 1)
-        i2 = ((word >> 2) & 1) + 2 * ((word >> 3) & 1)
-        perm[4 * i1 + i2] = word
-    return mat[np.ix_(perm, perm)]
+    U/4 times the identity, in the local-state basis 4 i1 + i2 with
+    i = n_up + 2 n_down."""
+    terms = []
+    for spin in (fock.UP, fock.DOWN):
+        terms.append((1.0, [(fock.ANNIHILATE, spin, 1), (fock.ANNIHILATE, spin, 2)]))
+        terms.append((1.0, [(fock.CREATE, spin, 2), (fock.CREATE, spin, 1)]))
+    for site in (1, 2):
+        nu = [(fock.CREATE, fock.UP, site), (fock.ANNIHILATE, fock.UP, site)]
+        nd = [(fock.CREATE, fock.DOWN, site), (fock.ANNIHILATE, fock.DOWN, site)]
+        terms += [(U / 2, nu + nd), (-U / 4, nu), (-U / 4, nd), (U / 8, [])]
+    terms.append((U / 4, []))
+    mat = fock.assemble_operator(2, terms).toarray()
+    # the canonical layout orders the modes (up1, up2, down1, down2), the
+    # local basis (up1, down1, up2, down2): moving down1 past up2 costs a
+    # sign wherever both are occupied
+    words = np.arange(16)
+    sign = np.where((words >> 1) & (words >> 2) & 1, -1.0, 1.0)
+    order = np.argsort(_site_major_permutation(2))
+    return (sign[:, None] * mat * sign)[np.ix_(order, order)]

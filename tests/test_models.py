@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargepair import bethe, fock, models
 from chargepair.fock import DOWN, UP, Sector
@@ -107,14 +109,16 @@ class TestConservation:
 
 class TestBasisRotation:
     def test_printed_single_site_factor(self):
-        v = basis_rotation(1)
+        v = dense(basis_rotation(1))
         assert maxabs(v - models.printed_local_rotation()) < 1e-15
         assert maxabs(v @ v.conj().T - np.eye(4)) < 1e-15
 
     @pytest.mark.parametrize("L", [2, 3])
-    def test_conjugation_gives_transformed_model(self, L):
-        p = ModelParams(L=L, U=1.3)
-        w = basis_rotation(L)
+    @settings(max_examples=10, deadline=None)
+    @given(U=st.floats(0.0, 8.0))
+    def test_conjugation_gives_transformed_model(self, L, U):
+        p = ModelParams(L=L, U=U)
+        w = dense(basis_rotation(L))
         assert maxabs(w @ w.conj().T - np.eye(4**L)) < 1e-14
         hc = dense(build_model("charge_pair", p))
         ht = dense(build_model("charge_pair_transformed", p))
@@ -279,14 +283,22 @@ class TestExtendedModel:
         )
         assert dev < 1e-11
 
-    def test_hamiltonian_splits_into_charges(self):
-        pf = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7)
-        ph = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7, h1=0.3, h2=0.2)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        U=st.floats(0.0, 8.0),
+        theta_up=st.floats(-np.pi, np.pi),
+        theta_down=st.floats(-np.pi, np.pi),
+        h1=st.floats(-1.0, 1.0),
+        h2=st.floats(-1.0, 1.0),
+    )
+    def test_hamiltonian_splits_into_charges(self, U, theta_up, theta_down, h1, h2):
+        pf = ModelParams(L=3, U=U, theta_up=theta_up, theta_down=theta_down)
+        ph = ModelParams(L=3, U=U, theta_up=theta_up, theta_down=theta_down, h1=h1, h2=h2)
         h0 = dense(build_model("charge_pair_extended", pf))
         hh = dense(build_model("charge_pair_extended", ph))
         s, r = models.extended_charges(pf)
         s, r = dense(s), dense(r)
-        assert maxabs(hh - h0 - 2 * 0.3 * s - 2 * 0.2 * r) < 1e-13
+        assert maxabs(hh - h0 - 2 * h1 * s - 2 * h2 * r) < 1e-13
         assert maxabs(h0 @ s - s @ h0) < 1e-12
         assert maxabs(h0 @ r - r @ h0) < 1e-12
         assert maxabs(s @ r - r @ s) < 1e-13

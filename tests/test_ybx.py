@@ -151,11 +151,12 @@ class TestTransferMatrix:
             for j in range(i + 1, len(mats)):
                 assert maxabs(mats[i] @ mats[j] - mats[j] @ mats[i]) <= 1e-10
 
-    def test_log_derivative_matches_coupled_chain(self):
-        resid, const = ybx.spin_chain_constant_fit(2.0, 3)
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_log_derivative_matches_coupled_chain(self, L):
+        resid, const = ybx.spin_chain_constant_fit(2.0, L)
         assert resid < 1e-10
         # the additive constant is U L / 4
-        assert abs(const - 2.0 * 3 / 4.0) < 1e-9
+        assert abs(const - 2.0 * L / 4.0) < 1e-9
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -241,10 +242,13 @@ class TestDensityExpansion:
     def test_matches_printed_density(self, U):
         assert maxabs(density_expansion(U) - two_site_density_reference(U)) <= 1e-10
 
-    def test_step_halving_stable(self):
-        a = density_expansion(2.0, base_lambda=4e-2)
-        b = density_expansion(2.0, base_lambda=2e-2)
-        assert maxabs(a - b) <= 1e-10
+    @pytest.mark.parametrize("U", [0.0, 2.0, 4.0])
+    def test_printed_lax_first_order_term(self, U):
+        # the printed matrix, not the twisted construction the exact
+        # density is built from, differenced at a small step
+        p = curve_point(1e-6, U)
+        first_order = (graded_permutation() @ graded_lax(p) - np.eye(16)) / p.y
+        assert maxabs(first_order - density_expansion(U)) <= 1e-5
 
     def test_ring_sum_reproduces_pairing_chain(self):
         from chargepair import fock
