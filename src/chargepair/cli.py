@@ -246,41 +246,28 @@ def _reproduce_cellwise(table: str, us: List[float], sizes: List[int], jobs: int
 def cmd_reproduce(args) -> tuple:
     table = args.table
     if table == "table2":
-        rows, deviations = [], []
-        for row in bethe.l2_closed_forms(args.U if args.U else 2.0):
-            rows.append({
-                "n_up": row["sector"].n_up, "n_down": row["sector"].n_down,
-                "energy": row["energy"], "roots": row["description"],
-            })
-        return rows, deviations
+        return [{"n_up": row["sector"].n_up, "n_down": row["sector"].n_down,
+                 "energy": row["energy"], "roots": row["description"]}
+                for row in bethe.l2_closed_forms(args.U if args.U else 2.0)], []
 
     ref = reference_tables.TABLES[table]
     us = [args.U] if args.U else sorted(ref.keys())
     default_sizes = sorted(next(iter(ref.values())).keys())
     sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
 
-    rows, deviations = [], []
     if table in ("table8", "table9"):
         j = 0 if table == "table8" else 1
-        for u in us:
-            series = fss.scaling_dimension_series(j, sizes, u)
-            for L, value in series.points:
-                reference = ref[u].get(L)
-                row = {"table": table, "U": u, "L": L, "computed": value,
-                       "reference": reference if reference is not None else float("nan")}
-                rows.append(row)
-                if reference is not None:
-                    deviations.append(_deviation_row(table, u, L, value, reference, args.include_suspect))
+        values = {(u, L): value for u in us
+                  for L, value in fss.scaling_dimension_series(j, sizes, u).points}
     else:
         values = _reproduce_cellwise(table, us, sizes, args.jobs)
-        for u in us:
-            for L in sizes:
-                value = values[(u, L)]
-                reference = ref[u].get(L)
-                rows.append({"table": table, "U": u, "L": L, "computed": value,
-                             "reference": reference if reference is not None else float("nan")})
-                if reference is not None:
-                    deviations.append(_deviation_row(table, u, L, value, reference, args.include_suspect))
+    rows, deviations = [], []
+    for (u, L), value in values.items():
+        reference = ref[u].get(L)
+        rows.append({"table": table, "U": u, "L": L, "computed": value,
+                     "reference": reference if reference is not None else float("nan")})
+        if reference is not None:
+            deviations.append(_deviation_row(table, u, L, value, reference, args.include_suspect))
     return rows, deviations
 
 

@@ -13,6 +13,10 @@ at L = 1 is (empty, up, down, up+down).  The many-body state attached to a
 word is the product of creation operators applied in ascending mode order to
 the vacuum; fermionic signs follow from counting occupied modes below the
 target mode.
+
+The same bits also carry the 2L qubits of a spin chain.  The sign-free factor
+kinds act on one bit without the parity of the lower modes: ``RAISE`` sets it,
+``LOWER`` clears it and ``Z`` is diag(-1, +1) on (clear, set).
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ UP = "up"
 DOWN = "down"
 CREATE = "create"
 ANNIHILATE = "annihilate"
+RAISE = "raise"
+LOWER = "lower"
+Z = "z"
 
 MAX_SITES = 12
 
@@ -124,6 +131,16 @@ def _parity(words: np.ndarray) -> np.ndarray:
     return words & 1
 
 
+def _site_major_permutation(L: int) -> np.ndarray:
+    """perm[f] = site-major index of canonical (bit-layout) index f: the
+    local index up_bit + 2 down_bit of each site, site 1 most significant."""
+    f = np.arange(4**L, dtype=np.int64)
+    perm = np.zeros_like(f)
+    for j in range(1, L + 1):
+        perm = 4 * perm + ((f >> (j - 1)) & 1) + 2 * ((f >> (L + j - 1)) & 1)
+    return perm
+
+
 def enumerate_basis(L: int, sector: Optional[Sector] = None) -> list[FockState]:
     """All basis states of the chain, in increasing encoded-word order.
 
@@ -172,8 +189,9 @@ def assemble_operator(
 
     Each term is ``(coefficient, factors)`` with factors listed left to right
     as written in the operator product; an empty factor list contributes
-    ``coefficient * identity``.  With a sector, any term mapping a sector
-    state outside the block raises.
+    ``coefficient * identity``.  Factor kinds are the fermionic ``CREATE`` /
+    ``ANNIHILATE`` and the sign-free ``RAISE`` / ``LOWER`` / ``Z``.  With a
+    sector, any term mapping a sector state outside the block raises.
     """
     words = _basis_words(L, sector)
     dim = len(words)
@@ -186,19 +204,24 @@ def assemble_operator(
             continue
         factors = list(factors)
         # act right to left on every basis word at once; each factor keeps
-        # the unblocked words, adds the parity of the modes below it, and
-        # flips its own bit
+        # the unblocked words, adds the parity of the modes below it (the
+        # fermionic kinds only), and flips its own bit; Z only adds a sign
         w, col, odd = words, all_cols, np.zeros(dim, dtype=np.int64)
         for kind, spin, site in reversed(factors):
             m = mode_index(L, spin, site)
-            if kind == CREATE:
-                keep = ((w >> m) & 1) == 0
-            elif kind == ANNIHILATE:
-                keep = ((w >> m) & 1) == 1
+            bit = (w >> m) & 1
+            if kind == Z:
+                odd = odd ^ bit ^ 1
+                continue
+            if kind in (CREATE, RAISE):
+                keep = bit == 0
+            elif kind in (ANNIHILATE, LOWER):
+                keep = bit == 1
             else:
                 raise ValueError(f"unknown operator kind {kind!r}")
             w, col, odd = w[keep], col[keep], odd[keep]
-            odd = odd ^ _parity(w & ((1 << m) - 1))
+            if kind in (CREATE, ANNIHILATE):
+                odd = odd ^ _parity(w & ((1 << m) - 1))
             w = w ^ (1 << m)
         row = np.minimum(np.searchsorted(words, w), dim - 1)
         outside = words[row] != w

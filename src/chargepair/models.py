@@ -1,8 +1,9 @@
 """Hamiltonians and symmetry generators of the pairing chain family.
 
-Fermionic models are assembled on the Fock basis of :mod:`chargepair.fock`.
-Spin-chain models live on the same 2L-qubit index layout: qubit ``j-1``
-carries the sigma spin of site j and qubit ``L+j-1`` the tau spin, with bit
+Every operator is assembled by :func:`chargepair.fock.assemble_operator`.
+Spin-chain models live on the same 2L-bit layout and use its sign-free
+factor kinds: qubit ``j-1``, the bit of (UP, j), carries the sigma spin of
+site j and qubit ``L+j-1``, the bit of (DOWN, j), the tau spin, with bit
 value 1 meaning spin projection +1/2.  Under the string map
 
     c_up(j)   = prod_{k<j} sigma^z_k sigma^-_j
@@ -15,13 +16,13 @@ element, with the fermionic ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fock
-from .fock import ANNIHILATE, CREATE, DOWN, UP, Sector
+from .fock import ANNIHILATE, CREATE, DOWN, LOWER, RAISE, UP, Z, Sector
 
 MODEL_KINDS = (
     "hubbard",
@@ -46,12 +47,6 @@ GENERATOR_KINDS = (
     "R_y_staggered",
     "R_z_staggered",
 )
-
-_FERMION_KINDS = frozenset(
-    {"hubbard", "charge_pair", "charge_pair_transformed", "charge_pair_extended"}
-)
-_SPIN_KINDS = frozenset({"spin_coupled", "spin_xx_even", "spin_xx_odd"})
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -91,62 +86,47 @@ def _interaction_terms(L: int, U: float) -> List[fock.Term]:
     return terms
 
 
+def _hopping_terms(L: int, t_up: complex, t_down: complex) -> List[fock.Term]:
+    """sum_j t_s c+_{s,j} c_{s,j+1} + h.c. around the ring."""
+    terms: List[fock.Term] = []
+    for j in range(1, L + 1):
+        jn = _site_next(j, L)
+        for spin, t in ((UP, t_up), (DOWN, t_down)):
+            terms.append((t, [(CREATE, spin, j), (ANNIHILATE, spin, jn)]))
+            terms.append((np.conj(t), [(CREATE, spin, jn), (ANNIHILATE, spin, j)]))
+    return terms
+
+
 def _hubbard_terms(params: ModelParams) -> List[fock.Term]:
-    L = params.L
+    return _hopping_terms(params.L, -1.0, -1.0) + _interaction_terms(params.L, params.U)
+
+
+def _charge_terms(params: ModelParams, s: float, r: float) -> List[fock.Term]:
+    """s S + r R for the flux-dressed charges S, R of the extended model,
+    site by site (a zero weight drops its terms in the kernel)."""
+    half_diff = (params.theta_up - params.theta_down) / 2
+    half_sum = (params.theta_up + params.theta_down) / 2
     terms: List[fock.Term] = []
-    for j in range(1, L + 1):
-        jn = _site_next(j, L)
-        for spin in (UP, DOWN):
-            terms.append((-1.0, [(CREATE, spin, j), (ANNIHILATE, spin, jn)]))
-            terms.append((-1.0, [(CREATE, spin, jn), (ANNIHILATE, spin, j)]))
-    return terms + _interaction_terms(L, params.U)
-
-
-def _charge_pair_terms(params: ModelParams) -> List[fock.Term]:
-    L = params.L
-    terms: List[fock.Term] = []
-    for j in range(1, L + 1):
-        jn = _site_next(j, L)
-        for spin in (UP, DOWN):
-            terms.append((1.0, [(ANNIHILATE, spin, j), (ANNIHILATE, spin, jn)]))
-            terms.append((1.0, [(CREATE, spin, jn), (CREATE, spin, j)]))
-    return terms + _interaction_terms(L, params.U)
-
-
-def _transformed_terms(params: ModelParams) -> List[fock.Term]:
-    """Hopping with phases exp(+-i pi/2); up and down move with opposite sign."""
-    L = params.L
-    terms: List[fock.Term] = []
-    for j in range(1, L + 1):
-        jn = _site_next(j, L)
-        terms.append((1j, [(CREATE, UP, j), (ANNIHILATE, UP, jn)]))
-        terms.append((-1j, [(CREATE, UP, jn), (ANNIHILATE, UP, j)]))
-        terms.append((-1j, [(CREATE, DOWN, j), (ANNIHILATE, DOWN, jn)]))
-        terms.append((1j, [(CREATE, DOWN, jn), (ANNIHILATE, DOWN, j)]))
-    return terms + _interaction_terms(L, params.U)
+    for j in range(1, params.L + 1):
+        terms.append((s * 0.5j * np.exp(1j * half_diff), [(CREATE, DOWN, j), (ANNIHILATE, UP, j)]))
+        terms.append((s * -0.5j * np.exp(-1j * half_diff), [(CREATE, UP, j), (ANNIHILATE, DOWN, j)]))
+        terms.append((r * 0.5 * np.exp(-1j * half_sum), [(CREATE, UP, j), (CREATE, DOWN, j)]))
+        terms.append((r * 0.5 * np.exp(1j * half_sum), [(ANNIHILATE, DOWN, j), (ANNIHILATE, UP, j)]))
+    return terms
 
 
 def _extended_terms(params: ModelParams) -> List[fock.Term]:
-    L, U = params.L, params.U
-    tu, td = params.theta_up, params.theta_down
-    h1, h2 = params.h1, params.h2
-    phases = {UP: tu, DOWN: td}
+    """Flux-dressed pair hopping plus interaction plus 2 h1 S + 2 h2 R; at
+    zero flux this is the pairing chain."""
+    L = params.L
     terms: List[fock.Term] = []
     for j in range(1, L + 1):
         jn = _site_next(j, L)
-        for spin in (UP, DOWN):
-            th = phases[spin]
+        for spin, th in ((UP, params.theta_up), (DOWN, params.theta_down)):
             terms.append((np.exp(1j * th), [(ANNIHILATE, spin, j), (ANNIHILATE, spin, jn)]))
             terms.append((np.exp(-1j * th), [(CREATE, spin, jn), (CREATE, spin, j)]))
-    terms += _interaction_terms(L, U)
-    half_diff = (tu - td) / 2
-    half_sum = (tu + td) / 2
-    for j in range(1, L + 1):
-        terms.append((1j * h1 * np.exp(1j * half_diff), [(CREATE, DOWN, j), (ANNIHILATE, UP, j)]))
-        terms.append((-1j * h1 * np.exp(-1j * half_diff), [(CREATE, UP, j), (ANNIHILATE, DOWN, j)]))
-        terms.append((h2 * np.exp(-1j * half_sum), [(CREATE, UP, j), (CREATE, DOWN, j)]))
-        terms.append((h2 * np.exp(1j * half_sum), [(ANNIHILATE, DOWN, j), (ANNIHILATE, UP, j)]))
-    return terms
+    terms += _interaction_terms(L, params.U)
+    return terms + _charge_terms(params, 2 * params.h1, 2 * params.h2)
 
 
 def build_model(
@@ -175,18 +155,14 @@ def build_model(
 
     if kind == "hubbard":
         return fock.assemble_operator(L, _hubbard_terms(params))
-    if kind == "charge_pair":
-        return fock.assemble_operator(L, _charge_pair_terms(params))
-    if kind == "charge_pair_transformed":
-        return fock.assemble_operator(L, _transformed_terms(params), sector=sector)
-    if kind == "charge_pair_extended":
+    if kind in ("charge_pair", "charge_pair_extended"):
         return fock.assemble_operator(L, _extended_terms(params))
-    if kind == "spin_coupled":
-        return _coupled_spin_chain(L, params.U)
-    if kind == "spin_xx_even":
-        return _xx_chain_even(L, params.U)
-    if kind == "spin_xx_odd":
-        return _xx_chain_odd(L, params.U)
+    if kind == "charge_pair_transformed":
+        # hopping phases exp(+-i pi/2): up and down move with opposite sign
+        terms = _hopping_terms(L, 1j, -1j) + _interaction_terms(L, params.U)
+        return fock.assemble_operator(L, terms, sector=sector)
+    if kind in _SPIN_CHAIN_BONDS:
+        return _spin_chain(L, params.U, *_SPIN_CHAIN_BONDS[kind])
     if kind == "charge_pair_jw":
         return jordan_wigner_image(L, params.U)
     raise AssertionError(kind)
@@ -199,17 +175,8 @@ def extended_charges(params: ModelParams) -> Tuple[sp.csr_matrix, sp.csr_matrix]
     H(theta, h1, h2) = H(theta, 0, 0) + 2 h1 S + 2 h2 R; at zero flux S and R
     reduce to the y spin rotation and x pseudo-spin rotation generators.
     """
-    L = params.L
-    half_diff = (params.theta_up - params.theta_down) / 2
-    half_sum = (params.theta_up + params.theta_down) / 2
-    s_terms: List[fock.Term] = []
-    r_terms: List[fock.Term] = []
-    for j in range(1, L + 1):
-        s_terms.append((0.5j * np.exp(1j * half_diff), [(CREATE, DOWN, j), (ANNIHILATE, UP, j)]))
-        s_terms.append((-0.5j * np.exp(-1j * half_diff), [(CREATE, UP, j), (ANNIHILATE, DOWN, j)]))
-        r_terms.append((0.5 * np.exp(-1j * half_sum), [(CREATE, UP, j), (CREATE, DOWN, j)]))
-        r_terms.append((0.5 * np.exp(1j * half_sum), [(ANNIHILATE, DOWN, j), (ANNIHILATE, UP, j)]))
-    return fock.assemble_operator(L, s_terms), fock.assemble_operator(L, r_terms)
+    return (fock.assemble_operator(params.L, _charge_terms(params, 1.0, 0.0)),
+            fock.assemble_operator(params.L, _charge_terms(params, 0.0, 1.0)))
 
 
 def _generator_site_terms(kind: str, j: int) -> List[fock.Term]:
@@ -349,125 +316,49 @@ def _dagger_factor(f):
 
 
 # ---------------------------------------------------------------------------
-# Pauli strings on the 2L-qubit layout
-
-_PZ = np.array([[-1.0, 0.0], [0.0, 1.0]])
-_PP = np.array([[0.0, 0.0], [1.0, 0.0]])   # raises spin: bit 0 -> 1
-_PM = np.array([[0.0, 1.0], [0.0, 0.0]])
-
-_SYMBOLS = {"z": _PZ, "+": _PP, "-": _PM}
-
-PauliFactor = Tuple[int, str]
+# spin chains: sigma_j is the bit of (UP, j), tau_j the bit of (DOWN, j)
 
 
-def pauli_string_matrix(
-    n_qubits: int, coeff: complex, factors: Sequence[PauliFactor]
-) -> sp.csr_matrix:
-    """Sparse matrix of coeff * product of single-qubit operators.
-
-    Factors are (qubit, symbol) with symbol in {'z', '+', '-'}, listed left
-    to right as written; repeated qubits multiply in that order.
-    """
-    per_qubit = {}
-    for q, sym in factors:
-        op = _SYMBOLS[sym]
-        per_qubit[q] = per_qubit[q] @ op if q in per_qubit else op
-
-    dim = 1 << n_qubits
-    cols = np.arange(dim, dtype=np.int64)
-    amp = np.full(dim, coeff, dtype=complex)
-    rows = cols.copy()
-    valid = np.ones(dim, dtype=bool)
-    for q, op in per_qubit.items():
-        bits = (cols >> q) & 1
-        # monomial per column: at most one nonzero entry
-        col_amp = np.empty(2, dtype=complex)
-        col_out = np.empty(2, dtype=np.int64)
-        col_ok = np.empty(2, dtype=bool)
-        for b in (0, 1):
-            nz = np.nonzero(op[:, b])[0]
-            if len(nz) > 1:
-                raise ValueError("per-qubit operator is not monomial")
-            if len(nz) == 0:
-                col_ok[b], col_out[b], col_amp[b] = False, b, 0.0
-            else:
-                col_ok[b], col_out[b], col_amp[b] = True, nz[0], op[nz[0], b]
-        valid &= col_ok[bits]
-        amp = amp * col_amp[bits]
-        flip = (col_out[bits] != bits)
-        rows = np.where(flip, rows ^ (1 << q), rows)
-    return sp.coo_matrix(
-        (amp[valid], (rows[valid], cols[valid])), shape=(dim, dim)
-    ).tocsr()
+def _pair_bond(spin: str, j: int, k: int, c: float = 1.0) -> List[fock.Term]:
+    return [(c, [(LOWER, spin, j), (LOWER, spin, k)]), (c, [(RAISE, spin, j), (RAISE, spin, k)])]
 
 
-def assemble_pauli(
-    n_qubits: int,
-    terms: Sequence[Tuple[complex, Sequence[PauliFactor]]],
-) -> sp.csr_matrix:
-    dim = 1 << n_qubits
-    acc = sp.csr_matrix((dim, dim), dtype=complex)
-    for coeff, factors in terms:
-        acc = acc + pauli_string_matrix(n_qubits, coeff, factors)
-    return acc
+def _xx_bond(spin: str, j: int, k: int) -> List[fock.Term]:
+    return [(1.0, [(LOWER, spin, j), (RAISE, spin, k)]), (1.0, [(RAISE, spin, j), (LOWER, spin, k)])]
 
 
-def _sigma(j: int) -> int:
-    return j - 1
+def _string_bond(spin: str, j: int, k: int) -> List[fock.Term]:
+    """Closing pair bond of the string map, j = L to k = 1: the z string over
+    the interior sites and the sign (-1)^L."""
+    string = [(Z, spin, m) for m in range(k + 1, j)]
+    return [((-1.0) ** j, [(kind, spin, k)] + string + [(kind, spin, j)]) for kind in (LOWER, RAISE)]
 
 
-def _tau(j: int, L: int) -> int:
-    return L + j - 1
-
-
-def _pair_bond(q1: int, q2: int) -> list:
-    return [(1.0, [(q1, "-"), (q2, "-")]), (1.0, [(q1, "+"), (q2, "+")])]
-
-
-def _xx_bond(q1: int, q2: int) -> list:
-    return [(1.0, [(q1, "-"), (q2, "+")]), (1.0, [(q1, "+"), (q2, "-")])]
-
-
-def _zz_terms(L: int, U: float) -> list:
-    return [(U / 4, [(_sigma(j), "z"), (_tau(j, L), "z")]) for j in range(1, L + 1)]
-
-
-def _coupled_spin_chain(L: int, U: float) -> sp.csr_matrix:
-    """Pairing-coupled chain: uniform sigma/tau pair bonds on every ring bond
-    plus the on-site zz coupling."""
-    terms = []
+def _spin_chain(L: int, U: float, bond, closing_bond) -> sp.csr_matrix:
+    """``bond`` on the ring bonds (j, j+1) of both spin species, ``closing_bond``
+    on (L, 1), plus the on-site coupling U/4 sigma^z tau^z."""
+    terms: List[fock.Term] = []
     for j in range(1, L + 1):
-        jn = _site_next(j, L)
-        terms += _pair_bond(_sigma(j), _sigma(jn))
-        terms += _pair_bond(_tau(j, L), _tau(jn, L))
-    terms += _zz_terms(L, U)
-    return assemble_pauli(2 * L, terms)
+        make = bond if j < L else closing_bond
+        for spin in (UP, DOWN):
+            terms += make(spin, j, _site_next(j, L))
+    terms += [(U / 4, [(Z, UP, j), (Z, DOWN, j)]) for j in range(1, L + 1)]
+    return fock.assemble_operator(L, terms)
 
 
-def _xx_chain_even(L: int, U: float) -> sp.csr_matrix:
-    terms = []
-    for j in range(1, L + 1):
-        jn = _site_next(j, L)
-        terms += _xx_bond(_sigma(j), _sigma(jn))
-        terms += _xx_bond(_tau(j, L), _tau(jn, L))
-    terms += _zz_terms(L, U)
-    return assemble_pauli(2 * L, terms)
-
-
-def _xx_chain_odd(L: int, U: float) -> sp.csr_matrix:
-    terms = []
-    for j in range(1, L):
-        terms += _xx_bond(_sigma(j), _sigma(j + 1))
-        terms += _xx_bond(_tau(j, L), _tau(j + 1, L))
-    terms += _pair_bond(_sigma(L), _sigma(1))
-    terms += _pair_bond(_tau(L, L), _tau(1, L))
-    terms += _zz_terms(L, U)
-    return assemble_pauli(2 * L, terms)
+#: (bond, closing bond) of each spin chain: the pairing-coupled chain has
+#: uniform sigma/tau pair bonds, the XX chains hop, and the odd one closes
+#: the ring with a pair bond
+_SPIN_CHAIN_BONDS = {
+    "spin_coupled": (_pair_bond, _pair_bond),
+    "spin_xx_even": (_xx_bond, _xx_bond),
+    "spin_xx_odd": (_xx_bond, _pair_bond),
+}
 
 
 def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
-    """Pauli-string matrix of the pairing chain: open pair bonds, on-site zz
-    coupling, and the string-dressed boundary terms.
+    """Spin-chain matrix of the pairing chain: open pair bonds of sign -1,
+    on-site zz coupling, and the string-dressed boundary terms.
 
     The string convention counts occupied modes, matching the Fock kernel's
     parity bookkeeping, so on this module's qubit layout the result equals
@@ -477,20 +368,7 @@ def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
     """
     if L < 2:
         raise ValueError("needs L >= 2")
-    terms = []
-    for j in range(1, L):
-        terms += [(-c, f) for c, f in _pair_bond(_sigma(j), _sigma(j + 1))]
-        terms += [(-c, f) for c, f in _pair_bond(_tau(j, L), _tau(j + 1, L))]
-    terms += _zz_terms(L, U)
-    # boundary strings run over the interior sites 2..L-1
-    bsign = (-1.0) ** L
-    sigma_string = [(_sigma(k), "z") for k in range(2, L)]
-    tau_string = [(_tau(k, L), "z") for k in range(2, L)]
-    terms.append((bsign, [(_sigma(1), "-")] + sigma_string + [(_sigma(L), "-")]))
-    terms.append((bsign, [(_sigma(1), "+")] + sigma_string + [(_sigma(L), "+")]))
-    terms.append((bsign, [(_tau(1, L), "-")] + tau_string + [(_tau(L, L), "-")]))
-    terms.append((bsign, [(_tau(1, L), "+")] + tau_string + [(_tau(L, L), "+")]))
-    return assemble_pauli(2 * L, terms)
+    return _spin_chain(L, U, lambda spin, j, k: _pair_bond(spin, j, k, -1.0), _string_bond)
 
 
 def sublattice_rotation_check(L: int, U: float) -> float:
@@ -498,22 +376,19 @@ def sublattice_rotation_check(L: int, U: float) -> float:
     against the XX chain of matching parity."""
     if L < 2:
         raise ValueError("needs L >= 2")
-    hs = _coupled_spin_chain(L, U)
-    target = _xx_chain_even(L, U) if L % 2 == 0 else _xx_chain_odd(L, U)
+    hs = _spin_chain(L, U, *_SPIN_CHAIN_BONDS["spin_coupled"])
+    target = _spin_chain(L, U, *_SPIN_CHAIN_BONDS["spin_xx_odd" if L % 2 else "spin_xx_even"])
     w = _even_site_flip(L)
     return float(abs(w @ hs @ w.T - target).max())
 
 
 def _even_site_flip(L: int) -> sp.csr_matrix:
     """Product of sigma^x tau^x over even sites (spin flip on those sites)."""
-    dim = 1 << (2 * L)
     mask = 0
     for j in range(2, L + 1, 2):
-        mask |= 1 << _sigma(j)
-        mask |= 1 << _tau(j, L)
-    cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ mask
-    return sp.coo_matrix((np.ones(dim), (rows, cols)), shape=(dim, dim)).tocsr()
+        mask |= (1 << fock.mode_index(L, UP, j)) | (1 << fock.mode_index(L, DOWN, j))
+    words = fock._basis_words(L)
+    return sp.csr_matrix((np.ones(len(words)), (words ^ mask, words)), shape=(len(words),) * 2)
 
 
 def translation_operator(L: int) -> sp.csr_matrix:

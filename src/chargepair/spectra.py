@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -183,11 +184,7 @@ def _table10_state(which: str, L: int) -> np.ndarray:
         a[base] = 1.0
         a[partner] = np.exp(1j * np.pi * (2 * j - 1) / 2)
         local.append(a)
-    idx = np.arange(4**L, dtype=np.int64)
-    v = np.ones(4**L, dtype=complex)
-    for j in range(1, L + 1):
-        v *= local[j - 1][((idx >> (j - 1)) & 1) + 2 * ((idx >> (L + j - 1)) & 1)]
-    return v
+    return functools.reduce(np.kron, local)[fock._site_major_permutation(L)]
 
 
 def reference_state_residual(which: str, L: int, U: float) -> float:

@@ -199,7 +199,7 @@ def _trace_product(laxes: Sequence[np.ndarray]) -> np.ndarray:
         s = mono.shape
         mono = mono.reshape(s[0], s[1], s[2] * s[3], s[4] * s[5])
     t_site_major = np.einsum("aaIJ->IJ", mono)
-    perm = _site_major_permutation(L)
+    perm = fock._site_major_permutation(L)
     return t_site_major[np.ix_(perm, perm)]
 
 
@@ -209,16 +209,6 @@ def transfer_matrix(lam: float, U: float, L: int) -> np.ndarray:
 
     At lam = 0 this is the one-site shift."""
     return _trace_product([coupled_lax(lam, U)] * L)
-
-
-def _site_major_permutation(L: int) -> np.ndarray:
-    """perm[f] = site-major index of canonical (bit-layout) index f."""
-    f = np.arange(4**L, dtype=np.int64)
-    perm = np.zeros_like(f)
-    # local index up_bit + 2 down_bit per site, site 1 most significant
-    for j in range(1, L + 1):
-        perm = 4 * perm + ((f >> (j - 1)) & 1) + 2 * ((f >> (L + j - 1)) & 1)
-    return perm
 
 
 def shift_operator(L: int) -> np.ndarray:
@@ -476,5 +466,5 @@ def two_site_density_reference(U: float) -> np.ndarray:
     # sign wherever both are occupied
     words = np.arange(16)
     sign = np.where((words >> 1) & (words >> 2) & 1, -1.0, 1.0)
-    order = np.argsort(_site_major_permutation(2))
+    order = np.argsort(fock._site_major_permutation(2))
     return (sign[:, None] * mat * sign)[np.ix_(order, order)]

@@ -9,7 +9,10 @@ from chargepair.fock import (
     ANNIHILATE,
     CREATE,
     DOWN,
+    LOWER,
+    RAISE,
     UP,
+    Z,
     FockState,
     Sector,
     apply_mode,
@@ -277,4 +280,43 @@ def test_assembly_matches_folded_apply_mode(case):
         return
     assert np.array_equal(
         assemble_operator(L, [(coeff, factors)], sector=sector).toarray(), expected
+    )
+
+
+#: the sign-free kinds as 2x2 matrices on (bit clear, bit set)
+QUBIT_OPS = {
+    RAISE: np.array([[0, 0], [1, 0]]),
+    LOWER: np.array([[0, 1], [0, 0]]),
+    Z: np.diag([-1, 1]),
+}
+
+
+@st.composite
+def qubit_terms(draw):
+    """(L, coefficient, 1-4 sign-free factors) with L <= 3, repeats allowed."""
+    L = draw(st.integers(1, 3))
+    factor = st.tuples(
+        st.sampled_from(sorted(QUBIT_OPS)), st.sampled_from((UP, DOWN)), st.integers(1, L)
+    )
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    coeff = draw(st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+    return L, coeff, factors
+
+
+def kron_product(L, coeff, factors):
+    """coeff times the product of the factors, each a 2x2 matrix embedded by
+    np.kron with qubit q acting on bit q (qubit 0 is the rightmost factor)."""
+    out = np.eye(4**L)
+    for kind, spin, site in factors:
+        q = fock.mode_index(L, spin, site)
+        out = out @ np.kron(np.kron(np.eye(2 ** (2 * L - 1 - q)), QUBIT_OPS[kind]), np.eye(2**q))
+    return coeff * out
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubit_terms())
+def test_sign_free_kinds_match_kron_reference(case):
+    L, coeff, factors = case
+    assert np.array_equal(
+        assemble_operator(L, [(coeff, factors)]).toarray(), kron_product(L, coeff, factors)
     )

@@ -141,7 +141,7 @@ class TestTransferMatrix:
             )
             for s in fock.enumerate_basis(L)
         ]
-        assert ybx._site_major_permutation(L).tolist() == expected
+        assert fock._site_major_permutation(L).tolist() == expected
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_commuting_family(self, L):
