@@ -286,7 +286,7 @@ def _newton(
     mu: np.ndarray,
     config: BetheConfig,
     tol: float,
-    max_iter: int,
+    max_iter: int = 200,
 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
     n = len(k)
     targets = _targets(config)
@@ -300,7 +300,7 @@ def _newton(
     return x[:n], x[n:], res, its
 
 
-def solve(config: BetheConfig, tol: float = 1e-12, max_iter: int = 200) -> BetheRoots:
+def solve(config: BetheConfig, tol: float = 1e-12) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
     Starts from the decoupled strong-coupling guess and runs a damped Newton
@@ -309,7 +309,7 @@ def solve(config: BetheConfig, tol: float = 1e-12, max_iter: int = 200) -> Bethe
     """
     k0, mu0 = _initial_guess(config)
     try:
-        k, mu, res, its = _newton(k0, mu0, config, tol, max_iter)
+        k, mu, res, its = _newton(k0, mu0, config, tol)
         return _validated_roots(k, mu, config, res, its)
     except SolverError:
         pass
@@ -320,7 +320,7 @@ def solve(config: BetheConfig, tol: float = 1e-12, max_iter: int = 200) -> Bethe
     its_total = 0
     for u in u_path:
         cfg = _with_u(config, u)
-        k, mu, res, its = _newton(k, mu, cfg, tol, max_iter)
+        k, mu, res, its = _newton(k, mu, cfg, tol)
         its_total += its
     return _validated_roots(k, mu, config, res, its_total)
 
@@ -364,11 +364,11 @@ def energy(
 
 
 @lru_cache(maxsize=4096)
-def state_energy(state: str, L: int, U: float, tol: float = 1e-12) -> float:
+def state_energy(state: str, L: int, U: float) -> float:
     """Energy of one tabulated state class at (L, U); solves are pure, so
     repeat lookups (gap plus estimator pipelines) are cached."""
     config = quantum_numbers(state, L, U)
-    return energy(solve(config, tol=tol), config)
+    return energy(solve(config), config)
 
 
 def charge_gap(L: int, U: float, parity: str) -> float:
@@ -444,13 +444,11 @@ def _twisted_heisenberg_solve(
     return lam
 
 
-def heisenberg_twisted_roots(
-    L: int, m_down: int, q2: Sequence[Fraction], tol: float = 1e-12
-) -> np.ndarray:
+def heisenberg_twisted_roots(L: int, q2: Sequence[Fraction]) -> np.ndarray:
     """Real roots of the isotropic two-level limit: the twisted spin chain
     equation L * 2 atan(2 lam) = 2 pi (q2 + 1/2) + sum 2 atan(lam - lam')."""
     targets = 2.0 * np.pi * (np.array([float(q) for q in q2]) + 0.5)
-    return _twisted_heisenberg_solve(L, targets, tol=tol)
+    return _twisted_heisenberg_solve(L, targets)
 
 
 def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
@@ -479,5 +477,5 @@ def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
     config = BetheConfig(L, U, Sector(n_up, n_down), q1, q2, ODD)
     roots = solve(config)
     lam_full = np.sort(2.0 * roots.mu / U)
-    lam_ref = np.sort(heisenberg_twisted_roots(L, n_down, q2))
+    lam_ref = np.sort(heisenberg_twisted_roots(L, q2))
     return float(np.max(np.abs(lam_full - lam_ref)))

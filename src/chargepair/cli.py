@@ -116,7 +116,7 @@ def cmd_spectrum(args) -> List[Dict]:
     params = ModelParams(L=args.L, U=args.U)
     sector = _parse_sector(args.sector) if args.sector else None
     h = models.build_model(args.model, params, sector=sector)
-    rep = spectra.spectrum(h, k=args.k, sector=sector, model=args.model, params=params)
+    rep = spectra.spectrum(h, k=args.k, sector=sector)
     rows = []
     i = 0
     for g in rep.degeneracies:

@@ -17,6 +17,11 @@ target mode.
 The same bits also carry the 2L qubits of a spin chain.  The sign-free factor
 kinds act on one bit without the parity of the lower modes: ``RAISE`` sets it,
 ``LOWER`` clears it and ``Z`` is diag(-1, +1) on (clear, set).
+
+The site-major order (site 1 most significant, local index up_bit +
+2 down_bit) is the layout of Kronecker products of on-site factors.
+``_site_major_permutation`` and ``_site_major_sign`` together map it onto
+the canonical words, signs included.
 """
 
 from __future__ import annotations
@@ -139,6 +144,19 @@ def _site_major_permutation(L: int) -> np.ndarray:
     for j in range(1, L + 1):
         perm = 4 * perm + ((f >> (j - 1)) & 1) + 2 * ((f >> (L + j - 1)) & 1)
     return perm
+
+
+def _site_major_sign(L: int) -> np.ndarray:
+    """sign[f] = +-1 with state(f) = sign[f] * (its site-major product state):
+    the fermion sign of reordering the occupied modes of canonical word f
+    into the order (up, 1), (down, 1), (up, 2), (down, 2), ...  Each occupied
+    (down, i) passes every occupied (up, k) with i < k."""
+    f = np.arange(4**L, dtype=np.int64)
+    up = f & ((1 << L) - 1)
+    odd = np.zeros_like(f)
+    for i in range(1, L + 1):
+        odd ^= (f >> (L + i - 1)) & _parity(up >> i)
+    return 1 - 2 * odd
 
 
 def enumerate_basis(L: int, sector: Optional[Sector] = None) -> list[FockState]:

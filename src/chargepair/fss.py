@@ -22,7 +22,6 @@ from . import bethe, liebwu
 @dataclass(frozen=True)
 class FssSeries:
     points: Tuple[Tuple[int, float], ...]
-    label: str = ""
 
     def __post_init__(self):
         sizes = [p[0] for p in self.points]
@@ -107,7 +106,7 @@ def scaling_dimension_series(
         l1, l2 = sizes[i], sizes[i + 1]
         x = eliminate_log_amplitude(bare[i], bare[i + 1], l1, l2, i0)
         pts.append((l2 if assign == "upper" else l1, x))
-    return FssSeries(tuple(pts), label=f"X{j}(U={U:g}, {assign})")
+    return FssSeries(tuple(pts))
 
 
 def predicted_dimension(n: Fraction, m: Fraction) -> Fraction:

@@ -41,7 +41,6 @@ class QuadratureSpec:
     upper_cut: Optional[float] = None   # None: place the cut from the damping
     panel_width: float = np.pi / 2
     nodes: int = 24
-    relative_tol: float = 1e-12
 
     def cut_for(self, U: float) -> float:
         if self.upper_cut is not None:

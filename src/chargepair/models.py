@@ -1,10 +1,13 @@
 """Hamiltonians and symmetry generators of the pairing chain family.
 
-Every operator is assembled by :func:`chargepair.fock.assemble_operator`.
-Spin-chain models live on the same 2L-bit layout and use its sign-free
-factor kinds: qubit ``j-1``, the bit of (UP, j), carries the sigma spin of
-site j and qubit ``L+j-1``, the bit of (DOWN, j), the tau spin, with bit
-value 1 meaning spin projection +1/2.  Under the string map
+Every Hamiltonian and generator is assembled by
+:func:`chargepair.fock.assemble_operator`; :mod:`chargepair.fock` also owns
+the signed site-major map that carries Kronecker products of on-site
+factors, such as the basis rotation, onto its words.  Spin-chain models
+live on the same 2L-bit layout and use its sign-free factor kinds: qubit
+``j-1``, the bit of (UP, j), carries the sigma spin of site j and qubit
+``L+j-1``, the bit of (DOWN, j), the tau spin, with bit value 1 meaning
+spin projection +1/2.  Under the string map
 
     c_up(j)   = prod_{k<j} sigma^z_k sigma^-_j
     c_down(j) = prod_{k=1..L} sigma^z_k prod_{k<j} tau^z_k tau^-_j
@@ -15,8 +18,9 @@ element, with the fermionic ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,25 +69,10 @@ def _site_next(j: int, L: int) -> int:
     return 1 if j == L else j + 1
 
 
-def _term_product(a: Iterable[fock.Term], b: Iterable[fock.Term]) -> List[fock.Term]:
-    out = []
-    for ca, fa in a:
-        for cb, fb in b:
-            out.append((ca * cb, list(fa) + list(fb)))
-    return out
-
-
 def _interaction_terms(L: int, U: float) -> List[fock.Term]:
-    """U * sum_j (n_up - 1/2)(n_down - 1/2) expanded into mode products."""
-    terms: List[fock.Term] = []
-    for j in range(1, L + 1):
-        nu = [(CREATE, UP, j), (ANNIHILATE, UP, j)]
-        nd = [(CREATE, DOWN, j), (ANNIHILATE, DOWN, j)]
-        terms.append((U, nu + nd))
-        terms.append((-U / 2, nu))
-        terms.append((-U / 2, nd))
-        terms.append((U / 4, []))
-    return terms
+    """U * sum_j (n_up - 1/2)(n_down - 1/2) = U/4 * sum_j z_up z_down: one
+    diagonal term per site, shared by the fermion models and the spin chains."""
+    return [(U / 4, [(Z, UP, j), (Z, DOWN, j)]) for j in range(1, L + 1)]
 
 
 def _hopping_terms(L: int, t_up: complex, t_down: complex) -> List[fock.Term]:
@@ -227,64 +216,24 @@ _V_LOCAL = np.array(
 ) / np.sqrt(2)
 
 
-def _local_unit_terms(j: int) -> List[List[fock.Term]]:
-    """Hubbard operators X_ab = |a><b| of site j as mode-operator term lists,
-    in the local order (empty, up, down, up+down)."""
-    cu, au = (CREATE, UP, j), (ANNIHILATE, UP, j)
-    cd, ad = (CREATE, DOWN, j), (ANNIHILATE, DOWN, j)
-    one: List[fock.Term] = [(1.0, [])]
-    nu: List[fock.Term] = [(1.0, [cu, au])]
-    nd: List[fock.Term] = [(1.0, [cd, ad])]
-    pu = [(1.0, []), (-1.0, [cu, au])]   # 1 - n_up
-    pd = [(1.0, []), (-1.0, [cd, ad])]   # 1 - n_down
-    x = [[None] * 4 for _ in range(4)]
-    x[0][0] = _term_product(pu, pd)
-    x[1][1] = _term_product(nu, pd)
-    x[2][2] = _term_product(pu, nd)
-    x[3][3] = _term_product(nu, nd)
-    x[0][1] = _term_product([(1.0, [au])], pd)
-    x[1][0] = _term_product([(1.0, [cu])], pd)
-    x[0][2] = _term_product([(1.0, [ad])], pu)
-    x[2][0] = _term_product([(1.0, [cd])], pu)
-    x[0][3] = [(1.0, [ad, au])]
-    x[3][0] = [(1.0, [cu, cd])]
-    x[1][2] = [(1.0, [cu, ad])]
-    x[2][1] = [(1.0, [cd, au])]
-    x[1][3] = [(-1.0, [ad, cu, au])]
-    x[3][1] = [(-1.0, [cu, au, cd])]
-    x[2][3] = [(1.0, [au, cd, ad])]
-    x[3][2] = [(1.0, [cd, ad, cu])]
-    return x
-
-
-def local_operator(L: int, j: int, local: np.ndarray) -> sp.csr_matrix:
-    """Embed a 4x4 on-site operator (local basis empty, up, down, up+down)
-    into the chain space, with fermionic sign bookkeeping."""
-    x = _local_unit_terms(j)
-    terms: List[fock.Term] = []
-    for a in range(4):
-        for b in range(4):
-            c = local[a, b]
-            if c != 0:
-                terms += [(c * w, f) for w, f in x[a][b]]
-    return fock.assemble_operator(L, terms)
-
-
 def basis_rotation(L: int) -> sp.csr_matrix:
     """Product over sites of the on-site unitary that trades the pairing form
     for the imaginary-hopping form.
 
-    The returned W is the product of the printed on-site factors, satisfies
-    W W^dag = 1, and realizes ``W @ H_charge_pair @ W^dag == H_transformed``
-    element by element once the on-site factors are embedded with the Fock
-    kernel's sign bookkeeping.
+    The printed factor conserves the local parity, so in the site-major
+    layout the product is the Kronecker product of L factors; the signed
+    site-major map of :mod:`chargepair.fock` carries it onto the canonical
+    words.  The returned W satisfies W W^dag = 1 and realizes
+    ``W @ H_charge_pair @ W^dag == H_transformed`` element by element.
     """
     fock._check_L(L)
-    w = sp.identity(4**L, dtype=complex, format="csr")
-    for j in range(1, L + 1):
-        vj = local_operator(L, j, _V_LOCAL)
-        w = w @ vj
-    return w
+    f = np.arange(4**L)
+    s = sp.csr_matrix(
+        (fock._site_major_sign(L).astype(complex), (f, fock._site_major_permutation(L))),
+        shape=(4**L, 4**L),
+    )
+    k = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), [sp.csr_matrix(_V_LOCAL)] * L)
+    return (s @ k @ s.T).tocsr()
 
 
 def printed_local_rotation() -> np.ndarray:
@@ -292,11 +241,9 @@ def printed_local_rotation() -> np.ndarray:
     return _V_LOCAL.copy()
 
 
-def transformed_fermion_matrix(
-    L: int, spin: str, site: int, dagger: bool = False
-) -> sp.csr_matrix:
-    """Matrix of the rotated annihilation (or creation) operator d(site) in
-    the original basis, built from its linear combination of c and c^dag."""
+def transformed_fermion_matrix(L: int, spin: str, site: int) -> sp.csr_matrix:
+    """Matrix of the rotated annihilation operator d(site) in the original
+    basis, built from its linear combination of c and c^dag."""
     cu, au = (CREATE, UP, site), (ANNIHILATE, UP, site)
     cd, ad = (CREATE, DOWN, site), (ANNIHILATE, DOWN, site)
     if spin == UP:
@@ -305,14 +252,7 @@ def transformed_fermion_matrix(
         terms = [(0.5j, [au]), (0.5, [cu]), (-0.5, [ad]), (0.5j, [cd])]
     else:
         raise ValueError(f"unknown spin {spin!r}")
-    if dagger:
-        terms = [(np.conj(c), [_dagger_factor(f) for f in reversed(fs)]) for c, fs in terms]
     return fock.assemble_operator(L, terms)
-
-
-def _dagger_factor(f):
-    kind, spin, site = f
-    return (ANNIHILATE if kind == CREATE else CREATE, spin, site)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +276,13 @@ def _string_bond(spin: str, j: int, k: int) -> List[fock.Term]:
 
 def _spin_chain(L: int, U: float, bond, closing_bond) -> sp.csr_matrix:
     """``bond`` on the ring bonds (j, j+1) of both spin species, ``closing_bond``
-    on (L, 1), plus the on-site coupling U/4 sigma^z tau^z."""
+    on (L, 1), plus the on-site coupling U/4 sigma^z tau^z of every model."""
     terms: List[fock.Term] = []
     for j in range(1, L + 1):
         make = bond if j < L else closing_bond
         for spin in (UP, DOWN):
             terms += make(spin, j, _site_next(j, L))
-    terms += [(U / 4, [(Z, UP, j), (Z, DOWN, j)]) for j in range(1, L + 1)]
-    return fock.assemble_operator(L, terms)
+    return fock.assemble_operator(L, terms + _interaction_terms(L, U))
 
 
 #: (bond, closing bond) of each spin chain: the pairing-coupled chain has

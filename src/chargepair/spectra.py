@@ -27,17 +27,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     degeneracies: np.ndarray
     sector: Optional[Sector] = None
-    model: Optional[str] = None
-    params: Optional[ModelParams] = None
-
-    @property
-    def distinct(self) -> np.ndarray:
-        """One representative eigenvalue per degenerate group."""
-        out, i = [], 0
-        for g in self.degeneracies:
-            out.append(self.eigenvalues[i])
-            i += g
-        return np.asarray(out)
 
 
 def _as_dense(h: sp.csr_matrix) -> np.ndarray:
@@ -80,8 +69,6 @@ def spectrum(
     h: sp.spmatrix | np.ndarray,
     k: Optional[int] = None,
     sector: Optional[Sector] = None,
-    model: Optional[str] = None,
-    params: Optional[ModelParams] = None,
 ) -> SpectrumReport:
     """Sorted eigenvalues with degeneracy counts.
 
@@ -116,7 +103,7 @@ def spectrum(
                 raise RuntimeError(f"iterative eigenvalue {lam} has residual {r:.3e}")
         ev = vals
     ev = np.sort(np.real(ev))
-    return SpectrumReport(ev, _group_degeneracies(ev), sector, model, params)
+    return SpectrumReport(ev, _group_degeneracies(ev), sector)
 
 
 @dataclass(frozen=True)

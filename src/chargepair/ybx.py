@@ -451,20 +451,11 @@ def two_site_density_reference(U: float) -> np.ndarray:
     terms for both spins plus half the on-site interaction of each end plus
     U/4 times the identity, in the local-state basis 4 i1 + i2 with
     i = n_up + 2 n_down."""
-    terms = []
+    terms = models._interaction_terms(2, U / 2) + [(U / 4, [])]
     for spin in (fock.UP, fock.DOWN):
         terms.append((1.0, [(fock.ANNIHILATE, spin, 1), (fock.ANNIHILATE, spin, 2)]))
         terms.append((1.0, [(fock.CREATE, spin, 2), (fock.CREATE, spin, 1)]))
-    for site in (1, 2):
-        nu = [(fock.CREATE, fock.UP, site), (fock.ANNIHILATE, fock.UP, site)]
-        nd = [(fock.CREATE, fock.DOWN, site), (fock.ANNIHILATE, fock.DOWN, site)]
-        terms += [(U / 2, nu + nd), (-U / 4, nu), (-U / 4, nd), (U / 8, [])]
-    terms.append((U / 4, []))
     mat = fock.assemble_operator(2, terms).toarray()
-    # the canonical layout orders the modes (up1, up2, down1, down2), the
-    # local basis (up1, down1, up2, down2): moving down1 past up2 costs a
-    # sign wherever both are occupied
-    words = np.arange(16)
-    sign = np.where((words >> 1) & (words >> 2) & 1, -1.0, 1.0)
+    sign = fock._site_major_sign(2)
     order = np.argsort(fock._site_major_permutation(2))
     return (sign[:, None] * mat * sign)[np.ix_(order, order)]

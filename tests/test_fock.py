@@ -188,10 +188,7 @@ BUILDERS = {
     "extended_charges_S": lambda: models.extended_charges(ModelParams(L=2, U=1.0))[0],
     "extended_charges_R": lambda: models.extended_charges(ModelParams(L=2, U=1.0))[1],
     "transformed_fermion_matrix": lambda: models.transformed_fermion_matrix(2, UP, 1),
-    "transformed_fermion_matrix_dagger": lambda: models.transformed_fermion_matrix(
-        2, DOWN, 2, dagger=True
-    ),
-    "local_operator": lambda: models.local_operator(2, 1, models.printed_local_rotation()),
+    "basis_rotation": lambda: models.basis_rotation(2),
     "translation_operator": lambda: models.translation_operator(1),
 }
 
@@ -281,6 +278,23 @@ def test_assembly_matches_folded_apply_mode(case):
     assert np.array_equal(
         assemble_operator(L, [(coeff, factors)], sector=sector).toarray(), expected
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda L: st.tuples(st.just(L), st.integers(0, 4**L - 1))))
+def test_site_major_sign_matches_folded_apply_mode(case):
+    # create the occupied modes of the word in site-major order, (up, 1)
+    # leftmost, onto the vacuum: the result is sign * (canonical state)
+    L, word = case
+    target = FockState.from_word(word, L)
+    state, sign = fock.vacuum_state(L), 1
+    for site in range(L, 0, -1):
+        for spin, bits in ((DOWN, target.down_bits), (UP, target.up_bits)):
+            if bits >> (site - 1) & 1:
+                step, state = apply_mode(state, CREATE, spin, site)
+                sign *= step
+    assert state.word == word
+    assert fock._site_major_sign(L)[word] == sign
 
 
 #: the sign-free kinds as 2x2 matrices on (bit clear, bit set)

@@ -40,6 +40,28 @@ class TestBuilders:
         h = dense(build_model(kind, ModelParams(L=L, U=1.7)))
         assert maxabs(h - h.conj().T) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            pytest.param(kind, ModelParams(L, U), id=f"{kind}-L{L}-U{U}")
+            for kind in ("hubbard", "charge_pair", "charge_pair_transformed", "charge_pair_extended")
+            for L in (2, 3, 4)
+            for U in (0.7, 1.3)
+        ]
+        + [pytest.param("charge_pair_extended", ModelParams(4, 1.3, 0.3, -0.7, 0.2, -0.4),
+                        id="charge_pair_extended-fluxes")],
+    )
+    def test_interaction_diagonal_is_exact(self, kind, params):
+        # one diagonal term per site: no rounding residue may be stored where
+        # the exact entry is zero, at dyadic or non-dyadic U
+        h = build_model(kind, params)
+        assert np.min(np.abs(h.data)) >= 1e-12
+        L, w = params.L, np.arange(4**params.L)
+        expected = params.U * sum(
+            ((w >> (j - 1) & 1) - 0.5) * ((w >> (L + j - 1) & 1) - 0.5) for j in range(1, L + 1)
+        )
+        assert maxabs(h.diagonal() - expected) <= 1e-15
+
     def test_two_site_pairing_chain_is_diagonal(self):
         h = dense(build_model("charge_pair", ModelParams(L=2, U=5.0)))
         assert maxabs(h - np.diag(np.diag(h))) == 0.0
@@ -113,7 +135,7 @@ class TestBasisRotation:
         assert maxabs(v - models.printed_local_rotation()) < 1e-15
         assert maxabs(v @ v.conj().T - np.eye(4)) < 1e-15
 
-    @pytest.mark.parametrize("L", [2, 3])
+    @pytest.mark.parametrize("L", [2, 3, 4])
     @settings(max_examples=10, deadline=None)
     @given(U=st.floats(0.0, 8.0))
     def test_conjugation_gives_transformed_model(self, L, U):
