@@ -5,15 +5,16 @@ The two-level equations for momenta k_j and spin rapidities mu_l read
     L k_j = 2 pi q1_j - sum_l theta1(sin k_j - mu_l)
     sum_l theta1(mu_m - sin k_l) = 2 pi q2_m + sum_{l != m} theta2(mu_m - mu_l)
 
-with theta1(x) = 2 atan(4x/U), theta2(x) = 2 atan(2x/U).  For even L the
-branch numbers q1, q2 are used as tabulated; for odd L the ring phases shift
-them by -1/4 (first level) and +1/2 (second level).  Quantum numbers are kept
-as exact rationals so half-integer branches never drift.
+with theta1(x) = 2 atan(4x/U), theta2(x) = 2 atan(2x/U).  The ring twist
+follows from L: for even L the branch numbers q1, q2 are used as tabulated;
+for odd L the ring phases shift them by -1/4 (first level) and +1/2 (second
+level).  Quantum numbers are kept as exact rationals so half-integer
+branches never drift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -46,18 +47,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BetheConfig:
-    """A root-class target: lattice, coupling, sector and branch numbers."""
+    """A root-class target: lattice, coupling, sector and branch numbers.
+    The ring twist is not an input: it follows from the parity of L."""
 
     L: int
     U: float
     sector: Sector
     q1: Tuple[Fraction, ...]
     q2: Tuple[Fraction, ...]
-    parity: str
 
     def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be even or odd, got {self.parity!r}")
         if self.U <= 0:
             raise ValueError("coupling U must be positive")
         n = self.sector.n_up + self.sector.n_down
@@ -71,9 +70,7 @@ class BetheConfig:
 
     @property
     def shifts(self) -> Tuple[float, float]:
-        if self.parity == ODD:
-            return (-0.25, 0.5)
-        return (0.0, 0.0)
+        return (-0.25, 0.5) if self.L % 2 else (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
             sector = Sector(L // 2 + 1, L // 2 - 1)
         else:
             raise ValueError(f"unsupported even-parity state {state!r}")
-        return BetheConfig(L, U, sector, q1, q2, EVEN)
+        return BetheConfig(L, U, sector, q1, q2)
 
     if state == "ground":
         q1 = _frac_seq(Fraction(L, 2), -1, L)
@@ -130,11 +127,7 @@ def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
         sector = Sector((L - 1) // 2, (L - 1) // 2)
     else:
         raise ValueError(f"unsupported odd-parity state {state!r}")
-    return BetheConfig(L, U, sector, q1, q2, ODD)
-
-
-def _with_u(config: BetheConfig, U: float) -> BetheConfig:
-    return BetheConfig(config.L, U, config.sector, config.q1, config.q2, config.parity)
+    return BetheConfig(L, U, sector, q1, q2)
 
 
 def _theta1(x: np.ndarray, U: float) -> np.ndarray:
@@ -300,29 +293,33 @@ def _newton(
     return x[:n], x[n:], res, its
 
 
+#: strong coupling where the continuation in U starts
+_U_START = 20.0
+
+
 def solve(config: BetheConfig, tol: float = 1e-12) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
-    Starts from the decoupled strong-coupling guess and runs a damped Newton
-    iteration (step halving on residual increase).  Falls back to a
-    continuation in decreasing U when the direct start fails.
+    Tries coupling paths in turn: the target U directly, then, below
+    ``_U_START``, a continuation in decreasing U from there.  Each path
+    starts from the decoupled guess at its first coupling and runs a damped
+    Newton iteration (step halving on residual increase) at every coupling
+    on it.  Raises the last path's ``SolverError`` when every path fails.
     """
-    k0, mu0 = _initial_guess(config)
-    try:
-        k, mu, res, its = _newton(k0, mu0, config, tol)
-        return _validated_roots(k, mu, config, res, its)
-    except SolverError:
-        pass
-    # continuation: walk the coupling down from an easy strong-coupling start
-    u_path = _continuation_path(config.U)
-    cfg = _with_u(config, u_path[0])
-    k, mu = _initial_guess(cfg)
-    its_total = 0
-    for u in u_path:
-        cfg = _with_u(config, u)
-        k, mu, res, its = _newton(k, mu, cfg, tol)
-        its_total += its
-    return _validated_roots(k, mu, config, res, its_total)
+    paths = [[config.U]]
+    if config.U < _U_START:
+        paths.append(_continuation_path(config.U))
+    for path in paths:
+        try:
+            k, mu = _initial_guess(replace(config, U=path[0]))
+            its_total = 0
+            for u in path:
+                k, mu, res, its = _newton(k, mu, replace(config, U=u), tol)
+                its_total += its
+            return _validated_roots(k, mu, config, res, its_total)
+        except SolverError as exc:
+            error = exc
+    raise error
 
 
 def _validated_roots(
@@ -340,11 +337,10 @@ def _validated_roots(
     return BetheRoots(k, mu, res, its)
 
 
-def _continuation_path(u_target: float, u_start: float = 20.0) -> List[float]:
-    if u_target >= u_start:
-        return [u_target]
+def _continuation_path(u_target: float) -> List[float]:
+    """Couplings from ``_U_START`` down to the target in steps of 1/1.5."""
     path = []
-    u = u_start
+    u = _U_START
     while u > u_target * 1.0001:
         path.append(u)
         u /= 1.5
@@ -474,7 +470,7 @@ def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
         raise ValueError("sector has no spin rapidities")
     q1 = _frac_seq(Fraction(L, 2), -1, L)
     q2 = _frac_seq(-Fraction(L - 1, 4), 1, n_down)
-    config = BetheConfig(L, U, Sector(n_up, n_down), q1, q2, ODD)
+    config = BetheConfig(L, U, Sector(n_up, n_down), q1, q2)
     roots = solve(config)
     lam_full = np.sort(2.0 * roots.mu / U)
     lam_ref = np.sort(heisenberg_twisted_roots(L, q2))

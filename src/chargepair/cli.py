@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -220,27 +221,18 @@ def cmd_transfer(args) -> List[Dict]:
 # --- reproduce -------------------------------------------------------------
 
 
-def _table_value(table: str, U: float, L: int) -> float:
-    if table == "table4":
-        _progress(L, f"table4 U={U:g} L={L}")
-        return bethe.charge_gap(L, U, "even")
-    if table == "table7":
-        _progress(L, f"table7 U={U:g} L={L}")
-        return bethe.charge_gap(L, U, "odd")
+def _column(table: str, U: float, sizes: List[int]) -> Dict[int, float]:
+    """One coupling column of a table as {L: value}.  Tables 8/9 eliminate
+    the log amplitude between consecutive sizes, so their column starts at
+    the second size."""
+    top = max(sizes, default=0)
+    _progress(top, f"{table} U={U:g} up to L={top}")
+    if table in ("table8", "table9"):
+        return dict(fss.scaling_dimension_series(int(table == "table9"), sizes, U).points)
     if table == "table5":
-        _progress(L, f"table5 U={U:g} L={L}")
-        return fss.central_charge_estimator(L, U)
-    raise ValueError(table)
-
-
-def _reproduce_cellwise(table: str, us: List[float], sizes: List[int], jobs: int):
-    tasks = [(table, u, L) for u in us for L in sizes]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_table_value, *zip(*tasks)))
-    else:
-        values = [_table_value(*t) for t in tasks]
-    return {(u, L): v for (t, u, L), v in zip(tasks, values)}
+        return {L: fss.central_charge_estimator(L, U) for L in sizes}
+    parity = "even" if table == "table4" else "odd"
+    return {L: bethe.charge_gap(L, U, parity) for L in sizes}
 
 
 def cmd_reproduce(args) -> tuple:
@@ -251,23 +243,28 @@ def cmd_reproduce(args) -> tuple:
                 for row in bethe.l2_closed_forms(args.U if args.U else 2.0)], []
 
     ref = reference_tables.TABLES[table]
-    us = [args.U] if args.U else sorted(ref.keys())
+    if args.U is not None and args.U not in ref:
+        raise ValueError(f"{table} has no column U={args.U:g}; its couplings are "
+                         + ", ".join(f"{u:g}" for u in sorted(ref)))
+    us = [args.U] if args.U is not None else sorted(ref)
     default_sizes = sorted(next(iter(ref.values())).keys())
     sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
 
-    if table in ("table8", "table9"):
-        j = 0 if table == "table8" else 1
-        values = {(u, L): value for u in us
-                  for L, value in fss.scaling_dimension_series(j, sizes, u).points}
+    jobs = min(args.jobs, len(us))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            columns = list(pool.map(_column, repeat(table), us, repeat(sizes)))
     else:
-        values = _reproduce_cellwise(table, us, sizes, args.jobs)
+        columns = [_column(table, u, sizes) for u in us]
     rows, deviations = [], []
-    for (u, L), value in values.items():
-        reference = ref[u].get(L)
-        rows.append({"table": table, "U": u, "L": L, "computed": value,
-                     "reference": reference if reference is not None else float("nan")})
-        if reference is not None:
-            deviations.append(_deviation_row(table, u, L, value, reference, args.include_suspect))
+    for u, column in zip(us, columns):
+        for L, value in column.items():
+            reference = ref[u].get(L)
+            rows.append({"table": table, "U": u, "L": L, "computed": value,
+                         "reference": reference if reference is not None else float("nan")})
+            if reference is not None:
+                deviations.append(_deviation_row(table, u, L, value, reference,
+                                                 args.include_suspect))
     return rows, deviations
 
 

@@ -68,39 +68,34 @@ def _panel_quadrature(f: Callable, upper: float, spec: QuadratureSpec, U: float 
     return float(np.sum(w * f(x.ravel()).reshape(x.shape)))
 
 
-def ground_energy_density(U: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Half-filled ground-state energy per site in the infinite chain."""
-    if U <= 0:
-        raise ValueError("coupling U must be positive")
+def _j1_fermi_integral(U: float, spec: QuadratureSpec, weight=lambda x: 1.0) -> float:
+    """Integral over x >= 0 of weight(x) J1(x) / x / (exp(U x / 2) + 1), for a
+    weight with weight(0) = 1."""
 
     def integrand(x):
         out = np.empty_like(x)
         small = x < 1e-12
-        # J0 J1 / x -> 1/2 at the origin
+        # J1(x) / x -> 1/2 at the origin
         out[small] = 0.5 * _fermi(x[small], U)
         xs = x[~small]
-        out[~small] = special.j0(xs) * special.j1(xs) / xs * _fermi(xs, U)
+        out[~small] = weight(xs) * special.j1(xs) / xs * _fermi(xs, U)
         return out
 
-    val = _panel_quadrature(integrand, spec.cut_for(U), spec, U)
-    return -4.0 * val - U / 4.0
+    return _panel_quadrature(integrand, spec.cut_for(U), spec, U)
+
+
+def ground_energy_density(U: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """Half-filled ground-state energy per site in the infinite chain."""
+    if U <= 0:
+        raise ValueError("coupling U must be positive")
+    return -4.0 * _j1_fermi_integral(U, spec, special.j0) - U / 4.0
 
 
 def gap_infinite(U: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Charge gap of the half-filled chain in the infinite-size limit."""
     if U <= 0:
         raise ValueError("coupling U must be positive")
-
-    def integrand(x):
-        out = np.empty_like(x)
-        small = x < 1e-12
-        out[small] = 0.5 * _fermi(x[small], U)
-        xs = x[~small]
-        out[~small] = special.j1(xs) / xs * _fermi(xs, U)
-        return out
-
-    val = _panel_quadrature(integrand, spec.cut_for(U), spec, U)
-    return 4.0 * val + U / 2.0 - 2.0
+    return 4.0 * _j1_fermi_integral(U, spec) + U / 2.0 - 2.0
 
 
 def spin_velocity(U: float) -> float:

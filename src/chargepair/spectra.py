@@ -139,23 +139,16 @@ REFERENCE_STATES = (
 
 
 def _table1_state(which: str, L: int) -> np.ndarray:
-    """Product states of the pairing chain with energy +-LU/4."""
-    v = fock.basis_vector(L, fock.vacuum_state(L))
-    if which in ("table1_plus", "table1_minus"):
-        sign = 1.0 if which == "table1_plus" else -1.0
-        for j in range(L, 0, -1):
-            pair = fock.assemble_operator(
-                L, [(1.0, [(fock.CREATE, fock.UP, j), (fock.CREATE, fock.DOWN, j)])]
-            )
-            v = v + sign * (pair @ v)
-        return v
-    # ferromagnet-like product (c+_up + i c+_down) over all sites
-    for j in range(L, 0, -1):
-        op = fock.assemble_operator(
-            L, [(1.0, [(fock.CREATE, fock.UP, j)]), (1j, [(fock.CREATE, fock.DOWN, j)])]
-        )
-        v = op @ v
-    return v
+    """Product states of the pairing chain with energy +-LU/4: 1 +- c+_up c+_down
+    or the ferromagnet-like c+_up + i c+_down on every site.  The site-major
+    Kronecker product carries the fermion sign of its mode order."""
+    # local slots: empty, up, down, doubly occupied (as in _table10_state)
+    if which == "table1_ferro":
+        local = np.array([0.0, 1.0, 1j, 0.0])
+    else:
+        local = np.array([1.0, 0.0, 0.0, 1.0 if which == "table1_plus" else -1.0], dtype=complex)
+    v = functools.reduce(np.kron, [local] * L)
+    return fock._site_major_sign(L) * v[fock._site_major_permutation(L)]
 
 
 def _table10_state(which: str, L: int) -> np.ndarray:

@@ -60,10 +60,10 @@ class TestQuantumNumbers:
     def test_branch_numbers_strictly_monotone(self):
         with pytest.raises(ValueError, match="monotone"):
             BetheConfig(2, 1.0, Sector(1, 1),
-                        (Fraction(1), Fraction(1)), (Fraction(0),), "even")
+                        (Fraction(1), Fraction(1)), (Fraction(0),))
         with pytest.raises(ValueError, match="monotone"):
             BetheConfig(3, 1.0, Sector(2, 1),
-                        (Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),), "odd")
+                        (Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),))
 
 
 class TestResidual:
@@ -146,7 +146,7 @@ class TestJacobian:
 
     def test_vanishing_k_pivot_is_a_singular_jacobian(self):
         # k = pi and mu = 0 at L = 2, U = 4 make L + cos k * theta1'(sin k - mu) = 0
-        cfg = BetheConfig(2, 4.0, Sector(1, 1), (Fraction(1), Fraction(0)), (Fraction(0),), "even")
+        cfg = BetheConfig(2, 4.0, Sector(1, 1), (Fraction(1), Fraction(0)), (Fraction(0),))
         with pytest.raises(SolverError, match="singular") as err:
             bethe._newton(np.array([np.pi, np.pi]), np.zeros(1), cfg, 1e-12, 10)
         assert err.value.residual > 0.0
@@ -224,21 +224,48 @@ class TestSolve:
         roots = solve(cfg)
         assert np.max(np.abs(bethe_residual(roots, cfg))) <= 1e-12
 
+    def test_twist_follows_from_ring_size(self):
+        # the odd-L ground class built by hand, with no twist given: its
+        # energy must be the lowest level of the (3, 2) block at L = 5
+        q1 = tuple(Fraction(5, 2) - j for j in range(5))
+        cfg = BetheConfig(5, 2.0, Sector(3, 2), q1, (Fraction(-1), Fraction(0)))
+        assert cfg.shifts == (-0.25, 0.5)
+        e = energy(solve(cfg), cfg)
+        assert abs(sector_levels(5, 2.0, Sector(3, 2))[0] - e) < 1e-10
+
+    def test_paths_that_fail_raise_the_last_error(self, monkeypatch):
+        # at U >= 20 the continuation would start at the target itself, so
+        # the direct attempt is the only path and runs once
+        calls = []
+
+        def stall(k, mu, config, tol):
+            calls.append(config.U)
+            raise SolverError(f"stalled at U={config.U:g}", residual=1.0)
+
+        monkeypatch.setattr(bethe, "_newton", stall)
+        with pytest.raises(SolverError, match="U=30"):
+            solve(quantum_numbers("ground", 6, 30.0))
+        assert calls == [30.0]
+        calls.clear()
+        with pytest.raises(SolverError, match="U=20"):
+            solve(quantum_numbers("ground", 6, 2.0))
+        assert calls == [2.0, 20.0]
+
 
 class TestEnergy:
     def test_empty_sector(self):
-        cfg = BetheConfig(2, 3.0, Sector(0, 0), (), (), "even")
+        cfg = BetheConfig(2, 3.0, Sector(0, 0), (), ())
         roots = BetheRoots(np.zeros(0), np.zeros(0), 0.0, 0)
         assert energy(roots, cfg) == pytest.approx(1.5)
 
     def test_single_particle(self):
-        cfg = BetheConfig(2, 3.0, Sector(1, 0), (Fraction(1, 2),), (), "even")
+        cfg = BetheConfig(2, 3.0, Sector(1, 0), (Fraction(1, 2),), ())
         roots = BetheRoots(np.array([np.pi / 2]), np.zeros(0), 0.0, 0)
         assert energy(roots, cfg) == pytest.approx(0.0, abs=1e-15)
 
     def test_chemical_potential_shift_is_linear(self):
         cfg = BetheConfig(2, 3.0, Sector(2, 0),
-                          (Fraction(1, 2), -Fraction(1, 2)), (), "even")
+                          (Fraction(1, 2), -Fraction(1, 2)), ())
         roots = BetheRoots(np.array([np.pi / 2, -np.pi / 2]), np.zeros(0), 0.0, 0)
         base = energy(roots, cfg)
         assert energy(roots, cfg, h1=0.3) - base == pytest.approx(0.6)

@@ -112,6 +112,13 @@ class TestDeterminismAndManifest:
         _, parallel = run(argv + ["--jobs", "2"], tmp_path, name="parallel")
         assert serial["csv"] == parallel["csv"]
 
+    def test_jobs_over_every_column_of_a_dimension_table(self, tmp_path):
+        argv = ["reproduce", "table8", "--sizes", "65,145"]
+        _, serial = run(argv, tmp_path, name="serial")
+        _, parallel = run(argv + ["--jobs", "2"], tmp_path, name="parallel")
+        assert [line.split(",")[1] for line in serial["csv"].splitlines()[1:]] == ["2", "3", "4"]
+        assert serial["csv"] == parallel["csv"]
+
 
 class TestReproduce:
     def test_table4_deviations(self, tmp_path):
@@ -168,6 +175,16 @@ class TestExitCodes:
                          "--k", "0"])
         assert code == 2
         assert "k must be at least 1" in capsys.readouterr().err
+
+    def test_coupling_outside_the_table_fails_before_any_solve(self, monkeypatch, capsys):
+        def no_solve(config, tol=1e-12):
+            raise AssertionError("solved a cell of a column the table does not have")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        code = cli.main(["reproduce", "table4", "--U", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "U=5" in err and "2, 3, 4" in err
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         def boom(L, U, parity):
