@@ -296,22 +296,59 @@ def _newton(
 #: strong coupling where the continuation in U starts
 _U_START = 20.0
 
+#: sizes up to this one are solved without a size ladder
+_LADDER_FLOOR = 33
 
-def solve(config: BetheConfig, tol: float = 1e-12) -> BetheRoots:
+Seed = Tuple[BetheConfig, BetheRoots]
+
+
+def _extrapolating_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolation on the ascending nodes xp, continued
+    linearly beyond both end nodes (``np.interp`` alone would clamp)."""
+    y = np.interp(x, xp, fp)
+    if len(xp) > 1:
+        lo, hi = x < xp[0], x > xp[-1]
+        y[lo] = fp[0] + (x[lo] - xp[0]) * (fp[1] - fp[0]) / (xp[1] - xp[0])
+        y[hi] = fp[-1] + (x[hi] - xp[-1]) * (fp[-1] - fp[-2]) / (xp[-1] - xp[-2])
+    return y
+
+
+def _size_seed(config: BetheConfig, seed: Seed) -> Tuple[np.ndarray, np.ndarray]:
+    """Start for ``config`` from the roots of the same state at another size:
+    k is interpolated over (q1 + shift)/L, arctan mu over (q2 + shift)/L."""
+    seed_config, seed_roots = seed
+    x1, x2 = (a / (2.0 * np.pi * config.L) for a in _targets(config))
+    xp1, xp2 = (a / (2.0 * np.pi * seed_config.L) for a in _targets(seed_config))
+    o1, o2 = np.argsort(xp1), np.argsort(xp2)
+    k = _extrapolating_interp(x1, xp1[o1], seed_roots.k[o1])
+    mu = np.tan(_extrapolating_interp(x2, xp2[o2], np.arctan(seed_roots.mu[o2])))
+    return k, mu
+
+
+def _starts(config: BetheConfig, seed: Optional[Seed]):
+    """The coupling paths of ``solve`` in the order they are tried, each as
+    (start, couplings); a start is only built when its path is reached."""
+    if seed is not None:
+        yield _size_seed(config, seed), [config.U]
+    yield _initial_guess(config), [config.U]
+    if config.U < _U_START:
+        path = _continuation_path(config.U)
+        yield _initial_guess(replace(config, U=path[0])), path
+
+
+def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[Seed] = None) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
-    Tries coupling paths in turn: the target U directly, then, below
-    ``_U_START``, a continuation in decreasing U from there.  Each path
-    starts from the decoupled guess at its first coupling and runs a damped
-    Newton iteration (step halving on residual increase) at every coupling
-    on it.  Raises the last path's ``SolverError`` when every path fails.
+    Tries coupling paths in turn: given a ``seed`` (the config and roots of
+    the same state and U at another size), Newton at the target U from the
+    size seed; then the target U directly from the decoupled guess; then,
+    below ``_U_START``, a continuation in decreasing U from there.  Every
+    path runs a damped Newton iteration (step halving on residual increase)
+    at each coupling on it.  Raises the last path's ``SolverError`` when
+    every path fails.
     """
-    paths = [[config.U]]
-    if config.U < _U_START:
-        paths.append(_continuation_path(config.U))
-    for path in paths:
+    for (k, mu), path in _starts(config, seed):
         try:
-            k, mu = _initial_guess(replace(config, U=path[0]))
             its_total = 0
             for u in path:
                 k, mu, res, its = _newton(k, mu, replace(config, U=u), tol)
@@ -320,6 +357,34 @@ def solve(config: BetheConfig, tol: float = 1e-12) -> BetheRoots:
         except SolverError as exc:
             error = exc
     raise error
+
+
+def ladder_sizes(L: int) -> List[int]:
+    """Ascending sizes of the parity class of L (odd, or 2 mod 4) from at
+    most ``_LADDER_FLOOR`` up to L, each about twice the one before."""
+    sizes = [L]
+    while sizes[-1] > _LADDER_FLOOR:
+        half = sizes[-1] // 2
+        if L % 2:
+            sizes.append(half - 1 + half % 2)
+        else:
+            sizes.append(half - (half - 2) % 4)
+    return sizes[::-1]
+
+
+def solve_state(state: str, L: int, U: float, tol: float = 1e-12) -> Seed:
+    """Config and roots of one tabulated state, solved along ``ladder_sizes(L)``
+    with each size seeded by the one below.  A size that fails on every path
+    leaves the next one unseeded; a failure at L raises its ``SolverError``."""
+    target = quantum_numbers(state, L, U)
+    seed = None
+    for size in ladder_sizes(L)[:-1]:
+        config = quantum_numbers(state, size, U)
+        try:
+            seed = config, solve(config, tol, seed)
+        except SolverError:
+            seed = None
+    return target, solve(target, tol, seed)
 
 
 def _validated_roots(
@@ -361,10 +426,24 @@ def energy(
 
 @lru_cache(maxsize=4096)
 def state_energy(state: str, L: int, U: float) -> float:
-    """Energy of one tabulated state class at (L, U); solves are pure, so
-    repeat lookups (gap plus estimator pipelines) are cached."""
-    config = quantum_numbers(state, L, U)
-    return energy(solve(config), config)
+    """Energy of one tabulated state class at (L, U), solved along its size
+    ladder; solves are pure, so repeat lookups (gap plus estimator
+    pipelines) are cached."""
+    config, roots = solve_state(state, L, U)
+    return energy(roots, config)
+
+
+def check_parity_class(L: int, parity: str) -> None:
+    """Raise ``ValueError`` unless L is a size of the parity class: L = 2
+    (mod 4) for even parity, odd L for odd parity."""
+    if parity == EVEN:
+        if L % 4 != 2:
+            raise ValueError(f"even parity needs L = 2 (mod 4), got L={L}")
+    elif parity == ODD:
+        if L % 2 == 0:
+            raise ValueError(f"odd parity needs odd L, got L={L}")
+    else:
+        raise ValueError(f"parity must be even or odd, got {parity!r}")
 
 
 def charge_gap(L: int, U: float, parity: str) -> float:
@@ -373,14 +452,7 @@ def charge_gap(L: int, U: float, parity: str) -> float:
     Even parity: E0(L/2, L/2-1) - E0(L/2, L/2) at L = 2 (mod 4).
     Odd parity: E0((L-1)/2, (L-1)/2) - E0((L+1)/2, (L-1)/2) at odd L.
     """
-    if parity == EVEN:
-        if L % 4 != 2:
-            raise ValueError("even-parity gap needs L = 2 (mod 4)")
-    elif parity == ODD:
-        if L % 2 == 0:
-            raise ValueError("odd-parity gap needs odd L")
-    else:
-        raise ValueError(f"parity must be even or odd, got {parity!r}")
+    check_parity_class(L, parity)
     return state_energy("charge_excitation", L, U) - state_energy("ground", L, U)
 
 

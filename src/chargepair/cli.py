@@ -104,11 +104,6 @@ def _parse_sector(text: str) -> Sector:
     return Sector(int(a), int(b))
 
 
-def _progress(L: int, message: str) -> None:
-    if L > 500:
-        print(message, file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -137,8 +132,7 @@ def cmd_compare(args) -> List[Dict]:
 
 
 def cmd_bethe(args) -> List[Dict]:
-    config = bethe.quantum_numbers(args.state, args.L, args.U)
-    roots = bethe.solve(config, tol=args.tol or 1e-12)
+    config, roots = bethe.solve_state(args.state, args.L, args.U, tol=args.tol or 1e-12)
     e = bethe.energy(roots, config)
     rows = [{"quantity": "energy", "index": 0, "value": e},
             {"quantity": "residual_norm", "index": 0, "value": roots.residual_norm},
@@ -221,18 +215,20 @@ def cmd_transfer(args) -> List[Dict]:
 # --- reproduce -------------------------------------------------------------
 
 
+#: parity class of the sizes of each solved table
+_TABLE_PARITY = {"table4": bethe.EVEN, "table5": bethe.EVEN,
+                 "table7": bethe.ODD, "table8": bethe.ODD, "table9": bethe.ODD}
+
+
 def _column(table: str, U: float, sizes: List[int]) -> Dict[int, float]:
     """One coupling column of a table as {L: value}.  Tables 8/9 eliminate
     the log amplitude between consecutive sizes, so their column starts at
     the second size."""
-    top = max(sizes, default=0)
-    _progress(top, f"{table} U={U:g} up to L={top}")
     if table in ("table8", "table9"):
         return dict(fss.scaling_dimension_series(int(table == "table9"), sizes, U).points)
     if table == "table5":
         return {L: fss.central_charge_estimator(L, U) for L in sizes}
-    parity = "even" if table == "table4" else "odd"
-    return {L: bethe.charge_gap(L, U, parity) for L in sizes}
+    return {L: bethe.charge_gap(L, U, _TABLE_PARITY[table]) for L in sizes}
 
 
 def cmd_reproduce(args) -> tuple:
@@ -240,7 +236,7 @@ def cmd_reproduce(args) -> tuple:
     if table == "table2":
         return [{"n_up": row["sector"].n_up, "n_down": row["sector"].n_down,
                  "energy": row["energy"], "roots": row["description"]}
-                for row in bethe.l2_closed_forms(args.U if args.U else 2.0)], []
+                for row in bethe.l2_closed_forms(args.U if args.U is not None else 2.0)], []
 
     ref = reference_tables.TABLES[table]
     if args.U is not None and args.U not in ref:
@@ -249,6 +245,8 @@ def cmd_reproduce(args) -> tuple:
     us = [args.U] if args.U is not None else sorted(ref)
     default_sizes = sorted(next(iter(ref.values())).keys())
     sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
+    for L in sizes:
+        bethe.check_parity_class(L, _TABLE_PARITY[table])
 
     jobs = min(args.jobs, len(us))
     if jobs > 1:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fractions import Fraction
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chargepair import bethe
 from chargepair.bethe import (
@@ -14,6 +16,7 @@ from chargepair.bethe import (
     l2_closed_forms,
     quantum_numbers,
     solve,
+    solve_state,
 )
 from chargepair.fock import Sector
 from chargepair.models import ModelParams, build_model
@@ -250,6 +253,103 @@ class TestSolve:
         with pytest.raises(SolverError, match="U=20"):
             solve(quantum_numbers("ground", 6, 2.0))
         assert calls == [2.0, 20.0]
+
+
+class TestLadder:
+    @given(st.one_of(st.integers(0, 1100).map(lambda j: 2 * j + 1),
+                     st.integers(0, 550).map(lambda j: 4 * j + 2)))
+    def test_sizes_ascend_in_the_class_of_the_target(self, L):
+        sizes = bethe.ladder_sizes(L)
+        assert sizes[-1] == L
+        assert sizes[0] <= bethe._LADDER_FLOOR
+        assert all(size > bethe._LADDER_FLOOR for size in sizes[1:])
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        for size in sizes:
+            quantum_numbers("ground", size)
+
+    @pytest.mark.parametrize("U", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("state,L", [(s, 142) for s in bethe.STATES_EVEN]
+                             + [(s, 145) for s in bethe.STATES_ODD])
+    def test_seeded_energy_equals_unseeded(self, monkeypatch, state, L, U):
+        config = quantum_numbers(state, L, U)
+        unseeded = energy(solve(config), config)
+        newton = bethe._newton
+        at_target = []
+
+        def spy(k, mu, cfg, tol):
+            if cfg.L == L:
+                at_target.append(cfg.U)
+            return newton(k, mu, cfg, tol)
+
+        monkeypatch.setattr(bethe, "_newton", spy)
+        seeded_config, roots = solve_state(state, L, U)
+        assert seeded_config == config
+        # the size seed converged: the target size ran one Newton solve
+        assert at_target == [U]
+        assert abs(energy(roots, config) - unseeded) <= 1e-12
+
+    def test_stalled_size_seed_gives_the_unseeded_roots(self, monkeypatch):
+        config = quantum_numbers("ground", 65, 2.0)
+        seed = solve_state("ground", 31, 2.0)
+        unseeded = solve(config)
+        newton = bethe._newton
+        starts = []
+
+        def stall_from_seed(k, mu, cfg, tol):
+            starts.append(k)
+            if len(starts) == 1:
+                raise SolverError("damped Newton stalled", residual=1.0)
+            return newton(k, mu, cfg, tol)
+
+        monkeypatch.setattr(bethe, "_newton", stall_from_seed)
+        roots = solve(config, seed=seed)
+        assert np.array_equal(starts[0], bethe._size_seed(config, seed)[0])
+        assert np.array_equal(roots.k, unseeded.k)
+        assert np.array_equal(roots.mu, unseeded.mu)
+        assert (roots.residual_norm, roots.iterations) == (
+            unseeded.residual_norm, unseeded.iterations)
+
+    def test_failed_size_leaves_the_next_unseeded(self, monkeypatch):
+        original = bethe.solve
+        calls = []
+
+        def fail_at_115(config, tol=1e-12, seed=None):
+            calls.append((config.L, seed[0].L if seed else None))
+            if config.L == 115:
+                raise SolverError("stalled", residual=1.0)
+            return original(config, tol, seed)
+
+        monkeypatch.setattr(bethe, "solve", fail_at_115)
+        config, roots = solve_state("ground", 465, 4.0)
+        assert calls == [(27, None), (57, 27), (115, 57), (231, None), (465, 231)]
+        assert np.max(np.abs(bethe_residual(roots, config))) <= 1e-12
+
+    def test_failure_at_the_target_raises(self, monkeypatch):
+        original = bethe.solve
+
+        def fail_at_target(config, tol=1e-12, seed=None):
+            if config.L == 145:
+                raise SolverError("stalled at the target", residual=2.0)
+            return original(config, tol, seed)
+
+        monkeypatch.setattr(bethe, "solve", fail_at_target)
+        with pytest.raises(SolverError, match="target") as err:
+            solve_state("ground", 145, 2.0)
+        assert err.value.residual == 2.0
+
+    def test_small_sizes_solve_once_unseeded(self, monkeypatch):
+        calls = []
+        original = bethe.solve
+
+        def spy(config, tol=1e-12, seed=None):
+            calls.append((config.L, seed))
+            return original(config, tol, seed)
+
+        monkeypatch.setattr(bethe, "solve", spy)
+        config, roots = solve_state("charge_excitation", 33, 2.0)
+        assert calls == [(33, None)]
+        direct = original(config)
+        assert np.array_equal(roots.k, direct.k) and np.array_equal(roots.mu, direct.mu)
 
 
 class TestEnergy:

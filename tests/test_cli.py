@@ -33,6 +33,13 @@ class TestBasicCommands:
         energies = [float(line.split(",")[2]) for line in lines[1:]]
         assert energies == [3.0, 0.0, -3.0, 3.0, -3.0]
 
+    def test_table2_at_zero_coupling(self, tmp_path):
+        code, res = run(["reproduce", "table2", "--U", "0"], tmp_path)
+        assert code == 0
+        energies = [float(line.split(",")[2]) for line in res["csv"].strip().splitlines()[1:]]
+        assert energies == [0.0] * 5
+        assert res["json"]["parameters"]["U"] == 0.0
+
     def test_spectrum_rows(self, tmp_path):
         code, res = run(
             ["spectrum", "--model", "charge_pair", "--L", "2", "--U", "2"], tmp_path
@@ -185,6 +192,19 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "usage error" in err and "U=5" in err and "2, 3, 4" in err
+
+    @pytest.mark.parametrize("table,sizes", [("table4", "222,302,64"), ("table5", "62,65"),
+                                             ("table7", "65,62"), ("table9", "65,145,224")])
+    def test_size_outside_the_class_fails_before_any_solve(self, monkeypatch, capsys,
+                                                           table, sizes):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a cell before checking every size")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        code = cli.main(["reproduce", table, "--sizes", sizes])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"L={sizes.split(',')[-1]}" in err
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         def boom(L, U, parity):
