@@ -14,9 +14,10 @@ branches never drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,6 +73,15 @@ class BetheConfig:
     def shifts(self) -> Tuple[float, float]:
         return (-0.25, 0.5) if self.L % 2 else (0.0, 0.0)
 
+    @cached_property
+    def targets(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only right-hand sides 2 pi (q1 + shift1), 2 pi (q2 + shift2),
+        built once per config."""
+        a1, a2 = (2.0 * np.pi * (np.array([float(x) for x in q]) + shift)
+                  for q, shift in zip((self.q1, self.q2), self.shifts))
+        a1.flags.writeable = a2.flags.writeable = False
+        return a1, a2
+
 
 @dataclass(frozen=True)
 class BetheRoots:
@@ -84,7 +94,9 @@ class BetheRoots:
 
 
 def _frac_seq(start: Fraction, step: int, count: int) -> Tuple[Fraction, ...]:
-    return tuple(start + step * j for j in range(count))
+    """start, start + step, ... (count terms), each built from integers."""
+    n0, d = start.numerator, start.denominator
+    return tuple(Fraction(n0 + step * j * d, d) for j in range(count))
 
 
 def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
@@ -146,28 +158,29 @@ def _dtheta2(x: np.ndarray, U: float) -> np.ndarray:
     return 4.0 * U / (U * U + 4.0 * x * x)
 
 
-def _targets(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
-    s1, s2 = config.shifts
-    a1 = 2.0 * np.pi * (np.array([float(q) for q in config.q1]) + s1)
-    a2 = 2.0 * np.pi * (np.array([float(q) for q in config.q2]) + s2)
-    return a1, a2
-
-
 def bethe_residual(roots: BetheRoots, config: BetheConfig) -> np.ndarray:
     """Stacked left-minus-right sides of the two logarithmic equation sets."""
-    return _residual(roots.k, roots.mu, config, _targets(config))
+    return _residual(roots.k, roots.mu, config)
 
 
-def _residual(
-    k: np.ndarray, mu: np.ndarray, config: BetheConfig, targets: Tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
+    """Stacked residual of both equation sets, built on one n x m matrix
+    t1 = theta1(sin k - mu) per call: one theta1 evaluation per Newton iterate.
+
+    The mu rows need theta1(mu - sin k) = -t1^T, which holds bit for bit
+    because theta1 is odd and so is numpy's arctan.  They are the negated row
+    sums of a C-contiguous copy of t1^T, the same pairwise summation as the
+    rows of theta1(mu - sin k), so the sums keep their bits.  ``t1.sum(axis=0)``
+    is not used: it adds the rows one after another, and at L ~ 1000 that
+    rounding lifts converged residuals of 7-9e-13 over the 1e-12 gate."""
     U = config.U
-    a1, a2 = targets
+    a1, a2 = config.targets
     sk = np.sin(k)
     f1 = config.L * k - a1
     if len(mu):
-        f1 = f1 + _theta1(sk[:, None] - mu[None, :], U).sum(axis=1)
-        f2 = _theta1(mu[:, None] - sk[None, :], U).sum(axis=1) - a2
+        t1 = _theta1(sk[:, None] - mu[None, :], U)
+        f1 = f1 + t1.sum(axis=1)
+        f2 = -t1.T.copy().sum(axis=1) - a2
         dmm = mu[:, None] - mu[None, :]
         t2 = _theta2(dmm, U)
         np.fill_diagonal(t2, 0.0)
@@ -258,7 +271,7 @@ def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
     At strong coupling the rescaled rapidities solve the twisted isotropic
     chain equation, which makes the residual of the guess O(1/U).  Below the
     continuation start the tangent seed is closer."""
-    a1, a2 = _targets(config)
+    a1, a2 = config.targets
     k = a1 / config.L
     n = len(config.q1)
     m = len(config.q2)
@@ -282,10 +295,9 @@ def _newton(
     max_iter: int = 200,
 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
     n = len(k)
-    targets = _targets(config)
     x, res, its = _damped_newton(
         np.concatenate([k, mu]),
-        lambda x: _residual(x[:n], x[n:], config, targets),
+        lambda x: _residual(x[:n], x[n:], config),
         lambda x, f: _newton_step(x[:n], x[n:], config, f),
         tol,
         max_iter,
@@ -317,8 +329,8 @@ def _size_seed(config: BetheConfig, seed: Seed) -> Tuple[np.ndarray, np.ndarray]
     """Start for ``config`` from the roots of the same state at another size:
     k is interpolated over (q1 + shift)/L, arctan mu over (q2 + shift)/L."""
     seed_config, seed_roots = seed
-    x1, x2 = (a / (2.0 * np.pi * config.L) for a in _targets(config))
-    xp1, xp2 = (a / (2.0 * np.pi * seed_config.L) for a in _targets(seed_config))
+    x1, x2 = (a / (2.0 * np.pi * config.L) for a in config.targets)
+    xp1, xp2 = (a / (2.0 * np.pi * seed_config.L) for a in seed_config.targets)
     o1, o2 = np.argsort(xp1), np.argsort(xp2)
     k = _extrapolating_interp(x1, xp1[o1], seed_roots.k[o1])
     mu = np.tan(_extrapolating_interp(x2, xp2[o2], np.arctan(seed_roots.mu[o2])))
@@ -336,6 +348,11 @@ def _starts(config: BetheConfig, seed: Optional[Seed]):
         yield _initial_guess(replace(config, U=path[0])), path
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got tol={tol}")
+
+
 def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[Seed] = None) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
@@ -345,13 +362,15 @@ def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[Seed] = None) 
     below ``_U_START``, a continuation in decreasing U from there.  Every
     path runs a damped Newton iteration (step halving on residual increase)
     at each coupling on it.  Raises the last path's ``SolverError`` when
-    every path fails.
+    every path fails, and ``ValueError`` unless tol is finite and positive.
     """
+    _check_tol(tol)
     for (k, mu), path in _starts(config, seed):
         try:
             its_total = 0
             for u in path:
-                k, mu, res, its = _newton(k, mu, replace(config, U=u), tol)
+                at_u = config if u == config.U else replace(config, U=u)
+                k, mu, res, its = _newton(k, mu, at_u, tol)
                 its_total += its
             return _validated_roots(k, mu, config, res, its_total)
         except SolverError as exc:
@@ -375,7 +394,9 @@ def ladder_sizes(L: int) -> List[int]:
 def solve_state(state: str, L: int, U: float, tol: float = 1e-12) -> Seed:
     """Config and roots of one tabulated state, solved along ``ladder_sizes(L)``
     with each size seeded by the one below.  A size that fails on every path
-    leaves the next one unseeded; a failure at L raises its ``SolverError``."""
+    leaves the next one unseeded; a failure at L raises its ``SolverError``.
+    A tol that is not finite and positive raises ``ValueError`` before any solve."""
+    _check_tol(tol)
     target = quantum_numbers(state, L, U)
     seed = None
     for size in ladder_sizes(L)[:-1]:

@@ -132,7 +132,8 @@ def cmd_compare(args) -> List[Dict]:
 
 
 def cmd_bethe(args) -> List[Dict]:
-    config, roots = bethe.solve_state(args.state, args.L, args.U, tol=args.tol or 1e-12)
+    tol = 1e-12 if args.tol is None else args.tol
+    config, roots = bethe.solve_state(args.state, args.L, args.U, tol=tol)
     e = bethe.energy(roots, config)
     rows = [{"quantity": "energy", "index": 0, "value": e},
             {"quantity": "residual_norm", "index": 0, "value": roots.residual_norm},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fractions import Fraction
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargepair import bethe
@@ -29,6 +29,21 @@ def dense(m):
 def sector_levels(L, U, sector):
     h = build_model("charge_pair_transformed", ModelParams(L=L, U=U), sector=sector)
     return np.linalg.eigvalsh(dense(h))
+
+
+#: (start, step, count) of q1 and q2 for each tabulated state at size L
+_BRANCH_STARTS = {
+    "ground": lambda L: (
+        ((Fraction(L, 2), -1, L), (-Fraction(L - 2, 4), 1, L // 2)) if L % 2 == 0 else
+        ((Fraction(L, 2), -1, L), (-Fraction(L - 1, 4), 1, (L - 1) // 2))),
+    "charge_excitation": lambda L: (
+        ((Fraction(L - 1, 2), -1, L - 1), (-Fraction(L - 2, 4), 1, L // 2 - 1)) if L % 2 == 0
+        else ((Fraction(L - 2, 2), -1, L - 1), (-Fraction(L - 3, 4), 1, (L - 1) // 2))),
+    "spin_excitation": lambda L: (
+        (Fraction(L - 1, 2), -1, L), (-Fraction(L - 4, 4), 1, L // 2 - 1)),
+    "first_excitation": lambda L: (
+        (-Fraction(L, 2), 1, L), (Fraction(L - 1, 4), -1, (L - 1) // 2)),
+}
 
 
 class TestQuantumNumbers:
@@ -69,6 +84,49 @@ class TestQuantumNumbers:
                         (Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),))
 
 
+    @settings(deadline=None)
+    @given(st.one_of(st.integers(0, 550).map(lambda j: (2 * j + 1, bethe.STATES_ODD)),
+                     st.integers(0, 275).map(lambda j: (4 * j + 2, bethe.STATES_EVEN))))
+    def test_branch_numbers_equal_fraction_sums(self, case):
+        L, states = case
+        for state in states:
+            cfg = quantum_numbers(state, L)
+            for q, (start, step, count) in zip((cfg.q1, cfg.q2), _BRANCH_STARTS[state](L)):
+                assert q == tuple(start + step * j for j in range(count))
+                assert all(type(x) is Fraction for x in q)
+
+    @given(st.fractions(max_denominator=8), st.sampled_from([-1, 1]), st.integers(0, 40))
+    def test_frac_seq_equals_fraction_sums(self, start, step, count):
+        assert bethe._frac_seq(start, step, count) == tuple(start + step * j for j in range(count))
+
+    @pytest.mark.parametrize("state,L", [("ground", 13), ("charge_excitation", 14),
+                                         ("first_excitation", 385), ("spin_excitation", 62)])
+    def test_targets_are_read_only_and_exact(self, state, L):
+        cfg = quantum_numbers(state, L, 2.0)
+        for a, q, shift in zip(cfg.targets, (cfg.q1, cfg.q2), cfg.shifts):
+            assert not a.flags.writeable
+            assert a.tolist() == [2.0 * np.pi * (float(x) + shift) for x in q]
+            with pytest.raises(ValueError):
+                a[:1] = 0.0
+        assert cfg.targets is cfg.targets
+
+
+def _parent_residual(k, mu, config):
+    """The residual as written with two theta1 matrices, theta1(sin k - mu)
+    and theta1(mu - sin k): the reference for the one-matrix form."""
+    U = config.U
+    a1, a2 = config.targets
+    sk = np.sin(k)
+    f1 = config.L * k - a1
+    if len(mu):
+        f1 = f1 + bethe._theta1(sk[:, None] - mu[None, :], U).sum(axis=1)
+        f2 = bethe._theta1(mu[:, None] - sk[None, :], U).sum(axis=1) - a2
+        t2 = bethe._theta2(mu[:, None] - mu[None, :], U)
+        np.fill_diagonal(t2, 0.0)
+        return np.concatenate([f1, f2 - t2.sum(axis=1)])
+    return f1
+
+
 class TestResidual:
     def test_converged_roots_self_consistent(self):
         cfg = quantum_numbers("ground", 6, 2.0)
@@ -104,6 +162,26 @@ class TestResidual:
         assert strong < 20.0 / 500.0
 
 
+    @pytest.mark.parametrize("state,L", [("ground", 13), ("first_excitation", 13),
+                                         ("charge_excitation", 385), ("ground", 1025)])
+    def test_one_theta1_residual_is_bit_identical(self, state, L):
+        cfg = quantum_numbers(state, L, 2.0)
+        rng = np.random.default_rng(L)
+        _, roots = solve_state(state, L, 2.0)
+        points = [(roots.k, roots.mu),
+                  (rng.uniform(-np.pi, np.pi, len(cfg.q1)), rng.normal(size=len(cfg.q2)))]
+        for k, mu in points:
+            assert np.array_equal(bethe._residual(k, mu, cfg), _parent_residual(k, mu, cfg))
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=80),
+           st.floats(1e-3, 1e3))
+    def test_theta1_is_odd_bit_for_bit(self, xs, U):
+        # the one-matrix residual rests on this: theta1(mu - s) = -theta1(s - mu)
+        x = np.array(xs)
+        assert np.array_equal(bethe._theta1(-x, U).view(np.int64),
+                              (-bethe._theta1(x, U)).view(np.int64))
+
+
 def _finite_difference_jacobian(fun, x, h=1e-6):
     cols = [(fun(x + h * e) - fun(x - h * e)) / (2.0 * h) for e in np.eye(len(x))]
     return np.column_stack(cols)
@@ -119,9 +197,7 @@ class TestJacobian:
         n = len(cfg.q1)
         rng = np.random.default_rng(L)
         x = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.normal(size=len(cfg.q2))])
-        targets = bethe._targets(cfg)
-        fd = _finite_difference_jacobian(
-            lambda y: bethe._residual(y[:n], y[n:], cfg, targets), x)
+        fd = _finite_difference_jacobian(lambda y: bethe._residual(y[:n], y[n:], cfg), x)
         jac = bethe._jacobian(x[:n], x[n:], cfg)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
@@ -166,7 +242,7 @@ class TestDampedNewton:
     def test_twisted_chain_converges_in_few_steps(self):
         # the twisted-chain seed of the L = 65 odd ground state: quadratic
         # convergence needs the exact Jacobian
-        targets = bethe._targets(quantum_numbers("ground", 65, 20.0))[1]
+        targets = quantum_numbers("ground", 65, 20.0).targets[1]
         lam = bethe._twisted_heisenberg_solve(65, targets, max_iter=12)
         assert np.max(np.abs(bethe._twisted_residual(lam, 65, targets))) <= 1e-12
         assert np.all(np.diff(lam) > 0)
@@ -253,6 +329,30 @@ class TestSolve:
         with pytest.raises(SolverError, match="U=20"):
             solve(quantum_numbers("ground", 6, 2.0))
         assert calls == [2.0, 20.0]
+
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
+        monkeypatch.setattr(bethe, "_newton", None)
+        with pytest.raises(ValueError, match="tolerance"):
+            solve(quantum_numbers("ground", 6, 2.0), tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_state("ground", 145, 2.0, tol)
+
+    def test_seeded_solve_at_its_coupling_builds_no_config(self, monkeypatch):
+        seed = solve_state("ground", 65, 2.0)
+        config = quantum_numbers("ground", 129, 2.0)
+        post_init = BetheConfig.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(self.U)
+            post_init(self)
+
+        monkeypatch.setattr(BetheConfig, "__post_init__", counting)
+        roots = solve(config, seed=seed)
+        assert built == []
+        assert np.max(np.abs(bethe_residual(roots, config))) <= 1e-12
 
 
 class TestLadder:

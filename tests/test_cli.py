@@ -206,6 +206,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and f"L={sizes.split(',')[-1]}" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_fails_before_any_solve(self, monkeypatch, capsys, tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a tolerance that is not finite and positive")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        code = cli.main(["bethe", "--state", "ground", "--L", "13", "--U", "2", "--tol", tol])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         def boom(L, U, parity):
             raise bethe.SolverError("did not converge", residual=1.0)
