@@ -31,11 +31,6 @@ STATES_EVEN = ("ground", "charge_excitation", "spin_excitation")
 STATES_ODD = ("ground", "first_excitation", "charge_excitation")
 
 
-def _strictly_monotone(seq) -> bool:
-    pairs = list(zip(seq, seq[1:]))
-    return all(a < b for a, b in pairs) or all(a > b for a, b in pairs)
-
-
 class SolverError(RuntimeError):
     """Newton iteration failed; carries the last residual for diagnosis."""
 
@@ -63,9 +58,9 @@ class BetheConfig:
         n = self.sector.n_up + self.sector.n_down
         if len(self.q1) != n or len(self.q2) != self.sector.n_down:
             raise ValueError("branch-number counts do not match the sector")
-        for seq in (self.q1, self.q2):
-            if not (_strictly_monotone(seq) or len(seq) < 2):
-                raise ValueError("branch numbers must be strictly monotone")
+        # 2 pi (q + shift) is exact enough to keep the order of q (denominators 1, 2, 4)
+        if not all(np.all(d > 0) or np.all(d < 0) for d in map(np.diff, self.targets)):
+            raise ValueError("branch numbers must be strictly monotone")
         if n > self.L or self.sector.n_up < self.sector.n_down:
             raise ValueError("sector outside the N_up + N_down <= L, N_up >= N_down wedge")
 

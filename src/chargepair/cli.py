@@ -16,7 +16,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import combinations, repeat
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -201,12 +202,12 @@ def cmd_ybe(args) -> List[Dict]:
 
 
 def cmd_transfer(args) -> List[Dict]:
-    lams = np.linspace(0.1, 1.1, args.grid)
-    mats = [ybx.transfer_matrix(lam, args.U, args.L) for lam in lams]
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]))))
+    if args.grid < 2:
+        raise ValueError("--grid needs at least two spectral parameters")
+    v = ybx.random_unit_vector(args.L)
+    ts = [partial(ybx.apply_transfer, lam, args.U, args.L) for lam in np.linspace(0.1, 1.1, args.grid)]
+    tv = [(t, t(v)) for t in ts]
+    worst = max(float(np.linalg.norm(a(bv) - b(av))) for (a, av), (b, bv) in combinations(tv, 2))
     resid, const = ybx.spin_chain_constant_fit(args.U, args.L)
     return [{"L": args.L, "U": args.U, "grid": args.grid,
              "max_commutator": worst, "log_derivative_residual": resid,
@@ -347,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     yb.add_argument("--seed", type=int, default=0)
     yb.set_defaults(func=cmd_ybe)
 
-    tr = sub.add_parser("transfer", parents=[common], help="transfer-matrix commutation and log-derivative")
+    tr = sub.add_parser("transfer", parents=[common], help="on a seeded random unit vector v, 2 <= L "
+                        "<= 8: max ||[T(a), T(b)]v||, and log T'(0)v against the coupled chain")
     tr.add_argument("--L", type=int, default=3)
     tr.add_argument("--U", type=float, required=True)
-    tr.add_argument("--grid", type=int, default=5)
+    tr.add_argument("--grid", type=int, default=5, help="spectral parameters in [0.1, 1.1], at least 2")
     tr.set_defaults(func=cmd_transfer)
 
     rp = sub.add_parser("reproduce", parents=[common], help="recompute a published table with deviations")

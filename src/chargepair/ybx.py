@@ -183,68 +183,71 @@ def ybe_residual_spin(lam1: float, lam2: float, U: float) -> float:
 # transfer matrix
 
 
-def _trace_product(laxes: Sequence[np.ndarray]) -> np.ndarray:
-    """Trace over the auxiliary space of the ordered product of one
-    (auxiliary, site) Lax operator per site; returned on the canonical qubit
-    layout of :mod:`models`."""
+def _check_size(L: int, size: int) -> None:
+    """The one memory rule of the sweep: at most 4^8 entries, which is one
+    vector up to L = 8 or the identity up to L = 4."""
+    if L < 2 or size > 4**8:
+        raise ValueError(f"transfer sweeps need L >= 2 and at most 4^8 entries (L = {L})")
+
+
+def _sweep(laxes: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """tr_aux(L_1 ... L_L) applied to the columns of v on the canonical layout
+    of :mod:`models`: in site-major order the auxiliary index opens as a delta
+    on its trace partner, passes from the last site to the first by one
+    16 x 16 GEMM per site, and closes."""
     L = len(laxes)
-    if L > 4:
-        raise ValueError("transfer matrices are kept to L <= 4")
-    if L < 2:
-        raise ValueError("needs L >= 2")
-    # each Lax operator as [a_out, a_in, i_out, i_in]
-    mono = laxes[0].reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
-    for lax in laxes[1:]:
-        mono = np.einsum("abIJ,bcij->acIiJj", mono, lax.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3))
-        s = mono.shape
-        mono = mono.reshape(s[0], s[1], s[2] * s[3], s[4] * s[5])
-    t_site_major = np.einsum("aaIJ->IJ", mono)
+    _check_size(L, v.size)
     perm = fock._site_major_permutation(L)
-    return t_site_major[np.ix_(perm, perm)]
+    s = np.multiply.outer(np.eye(4), v[np.argsort(perm)].reshape((4,) * L + (-1,)))
+    for k in range(L, 0, -1):
+        # s is [b, a0, i_1 .. i_L, columns]; the Lax [a_out, i_out, a_in, i_in] takes (b, i_k)
+        s = np.tensordot(laxes[k - 1].reshape(4, 4, 4, 4), s, ([2, 3], [0, k + 1]))
+        s = np.moveaxis(s, 1, k + 1)
+    return np.trace(s).reshape(v.shape)[perm]
+
+
+def random_unit_vector(L: int) -> np.ndarray:
+    """Seeded Gaussian unit vector on L sites, refused where a sweep would be."""
+    _check_size(L, 4**L)
+    v = np.random.default_rng(0).standard_normal(4**L)
+    return v / np.linalg.norm(v)
+
+
+def apply_transfer(lam: float, U: float, L: int, v: np.ndarray) -> np.ndarray:
+    """T(lam) applied to the columns of v; T(0) is the one-site shift."""
+    return _sweep([coupled_lax(lam, U)] * L, v)
+
+
+def apply_log_derivative(U: float, L: int, v: np.ndarray) -> np.ndarray:
+    """d/d lam log T at lam = 0 applied to the columns of v, exactly: T(0)^-1
+    is T(0)^(L-1), and T'(0) is the product-rule sum of the sweeps with the
+    Lax derivative at one site.  Equals the coupled spin chain plus U L / 4."""
+    _check_size(L, v.size)
+    l0, dl = coupled_lax(0.0, U), _lax_derivative(U)
+    for _ in range(L - 1):
+        v = _sweep([l0] * L, v)
+    return sum(_sweep([dl if k == j else l0 for k in range(L)], v) for j in range(L))
 
 
 def transfer_matrix(lam: float, U: float, L: int) -> np.ndarray:
-    """Trace over the auxiliary space of the ordered product of L Lax
-    operators; returned on the canonical qubit layout of :mod:`models`.
-
-    At lam = 0 this is the one-site shift."""
-    return _trace_product([coupled_lax(lam, U)] * L)
-
-
-def shift_operator(L: int) -> np.ndarray:
-    """Spin-chain one-site shift on the canonical layout (no fermion signs),
-    moving the content of site j+1 onto site j; equals the transfer matrix
-    at zero spectral parameter."""
-    dim = 4**L
-    cols = np.arange(dim, dtype=np.int64)
-    mask = (1 << L) - 1
-    up = cols & mask
-    down = (cols >> L) & mask
-    up_s = ((up >> 1) | (up << (L - 1))) & mask
-    down_s = ((down >> 1) | (down << (L - 1))) & mask
-    rows = up_s | (down_s << L)
-    t = np.zeros((dim, dim))
-    t[rows, cols] = 1.0
-    return t
+    """Dense view of :func:`apply_transfer`, for L <= 4."""
+    _check_size(L, 16**L)  # before the identity is allocated
+    return apply_transfer(lam, U, L, np.eye(4**L))
 
 
 def log_derivative_hamiltonian(U: float, L: int) -> np.ndarray:
-    """d/d lam log T at lam = 0, exactly: T'(0) is the product-rule sum of
-    the traces with the Lax derivative at one site, and T(0) is the one-site
-    shift, whose inverse is its transpose.  Equals the coupled spin chain
-    plus a multiple of the identity."""
-    l0, dl = coupled_lax(0.0, U), _lax_derivative(U)
-    dt = sum(_trace_product([dl if k == j else l0 for k in range(L)]) for j in range(L))
-    return dt @ _trace_product([l0] * L).T
+    """Dense view of :func:`apply_log_derivative`, for L <= 4."""
+    _check_size(L, 16**L)  # before the identity is allocated
+    return apply_log_derivative(U, L, np.eye(4**L))
 
 
 def spin_chain_constant_fit(U: float, L: int) -> Tuple[float, float]:
-    """Residual of the log-derivative against the coupled chain after fitting
-    the additive constant; returns (residual, constant)."""
-    d = log_derivative_hamiltonian(U, L)
-    hs = models.build_model("spin_coupled", ModelParams(L=L, U=U)).toarray()
-    c = np.trace(d - hs).real / d.shape[0]
-    return float(np.max(np.abs(d - hs - c * np.eye(d.shape[0])))), float(c)
+    """(2-norm residual, fitted additive constant) of the log-derivative
+    against the coupled chain on :func:`random_unit_vector`."""
+    v = random_unit_vector(L)
+    r = apply_log_derivative(U, L, v) - models.build_model("spin_coupled", ModelParams(L=L, U=U)) @ v
+    c = float(np.vdot(v, r).real)
+    return float(np.linalg.norm(r - c * v)), c
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ class TestBasicCommands:
         assert row["max_commutator"] < 1e-10
         assert row["log_derivative_residual"] < 1e-10
 
+    @pytest.mark.parametrize("argv", [["--L", "3", "--grid", "1"], ["--L", "1"], ["--L", "9"]])
+    def test_transfer_usage_errors(self, argv, tmp_path):
+        # one spectral parameter has no pair to commute; L = 1 has no ring;
+        # L = 9 is over the sweep's 4^8-entry rule
+        code, res = run(["transfer", "--U", "2"] + argv, tmp_path)
+        assert code == 2 and res == {}
+
 
 class TestDeterminismAndManifest:
     def test_identical_invocations_byte_identical(self, tmp_path):

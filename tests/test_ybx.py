@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -123,10 +125,54 @@ class TestSpinYangBaxter:
         assert worst <= 1e-12
 
 
+def _trace_product(laxes):
+    """The dense einsum contraction of the monodromy that the vector sweep
+    replaced, kept as its reference (L <= 4)."""
+    mono = laxes[0].reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    for lax in laxes[1:]:
+        mono = np.einsum("abIJ,bcij->acIiJj", mono, lax.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3))
+        s = mono.shape
+        mono = mono.reshape(s[0], s[1], s[2] * s[3], s[4] * s[5])
+    perm = fock._site_major_permutation(len(laxes))
+    return np.einsum("aaIJ->IJ", mono)[np.ix_(perm, perm)]
+
+
+def _shift_rows(L):
+    """Row of each canonical column under the one-site shift, which moves the
+    content of site j+1 onto site j: both spin words rotate right by a bit."""
+    cols = np.arange(4**L)
+    mask = (1 << L) - 1
+
+    def rotate(word):
+        return ((word >> 1) | (word << (L - 1))) & mask
+
+    return rotate(cols & mask) | (rotate((cols >> L) & mask) << L)
+
+
 class TestTransferMatrix:
     def test_zero_parameter_is_one_site_shift(self):
         for L in (2, 3):
-            assert maxabs(transfer_matrix(0.0, 2.0, L) - ybx.shift_operator(L)) < 1e-14
+            shift = np.zeros((4**L, 4**L))
+            shift[_shift_rows(L), np.arange(4**L)] = 1.0
+            assert maxabs(transfer_matrix(0.0, 2.0, L) - shift) < 1e-14
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_zero_parameter_shifts_vectors(self, L):
+        v = ybx.random_unit_vector(L)
+        shifted = np.empty_like(v)
+        shifted[_shift_rows(L)] = v
+        assert maxabs(ybx.apply_transfer(0.0, 2.0, L, v) - shifted) < 1e-14
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_dense_views_match_einsum_reference(self, L):
+        for U in (0.0, 2.0, 3.7):
+            for lam in (0.0, 0.3, 1.1):
+                ref = _trace_product([coupled_lax(lam, U)] * L)
+                assert maxabs(transfer_matrix(lam, U, L) - ref) <= 1e-14
+            l0, dl = coupled_lax(0.0, U), ybx._lax_derivative(U)
+            dt = sum(_trace_product([dl if k == j else l0 for k in range(L)]) for j in range(L))
+            ref = dt @ _trace_product([l0] * L).T
+            assert maxabs(ybx.log_derivative_hamiltonian(U, L) - ref) <= 1e-14
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_site_major_permutation_state_by_state(self, L):
@@ -153,12 +199,37 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_log_derivative_matches_coupled_chain(self, L):
-        resid, const = ybx.spin_chain_constant_fit(2.0, L)
-        assert resid < 1e-10
+        d = ybx.log_derivative_hamiltonian(2.0, L)
+        hs = models.build_model("spin_coupled", ModelParams(L=L, U=2.0)).toarray()
+        const = np.trace(d - hs).real / d.shape[0]
+        assert maxabs(d - hs - const * np.eye(4**L)) < 1e-10
         # the additive constant is U L / 4
         assert abs(const - 2.0 * L / 4.0) < 1e-9
 
+    @pytest.mark.parametrize("L", [5, 6, 7, 8])
+    def test_integrability_on_vectors(self, L):
+        U = 2.0
+        v = ybx.random_unit_vector(L)
+        hs = models.build_model("spin_coupled", ModelParams(L=L, U=U))
+        ta, tb = (partial(ybx.apply_transfer, lam, U, L) for lam in (0.3, 0.8))
+        assert np.linalg.norm(ta(tb(v)) - tb(ta(v))) <= 1e-10
+        assert np.linalg.norm(ta(hs @ v) - hs @ ta(v)) <= 1e-10
+        resid, const = ybx.spin_chain_constant_fit(U, L)
+        assert resid < 1e-10
+        assert abs(const - U * L / 4.0) < 1e-9
+
     def test_size_limit(self):
+        # a vector is swept up to L = 8 and a dense view up to L = 4
+        with pytest.raises(ValueError):
+            ybx.random_unit_vector(1)
+        with pytest.raises(ValueError):
+            ybx.apply_transfer(0.1, 1.0, 1, np.ones(4))
+        with pytest.raises(ValueError):
+            ybx.apply_log_derivative(1.0, 1, np.ones(4))
+        with pytest.raises(ValueError):
+            ybx.random_unit_vector(9)
+        with pytest.raises(ValueError):
+            ybx.apply_transfer(0.1, 1.0, 9, np.ones(4**9))
         with pytest.raises(ValueError):
             transfer_matrix(0.1, 1.0, 5)
 
