@@ -137,20 +137,22 @@ def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
     return BetheConfig(L, U, sector, q1, q2)
 
 
-def _theta1(x: np.ndarray, U: float) -> np.ndarray:
-    return 2.0 * np.arctan(4.0 * x / U)
+def _theta(x: np.ndarray, c: float, U: float) -> np.ndarray:
+    """2 atan(c x / U), written over x and returned: theta1 is c = 4,
+    theta2 is c = 2."""
+    x *= c
+    x /= U
+    np.arctan(x, out=x)
+    x *= 2.0
+    return x
 
 
-def _theta2(x: np.ndarray, U: float) -> np.ndarray:
-    return 2.0 * np.arctan(2.0 * x / U)
-
-
-def _dtheta1(x: np.ndarray, U: float) -> np.ndarray:
-    return 8.0 * U / (U * U + 16.0 * x * x)
-
-
-def _dtheta2(x: np.ndarray, U: float) -> np.ndarray:
-    return 4.0 * U / (U * U + 4.0 * x * x)
+def _dtheta(x: np.ndarray, c: float, U: float) -> np.ndarray:
+    """The derivative 2cU / (U^2 + c^2 x^2) of ``_theta``, in a new array."""
+    d = c * c * x
+    d *= x
+    d += U * U
+    return np.divide(2.0 * c * U, d, out=d)
 
 
 def bethe_residual(roots: BetheRoots, config: BetheConfig) -> np.ndarray:
@@ -170,16 +172,14 @@ def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
     rounding lifts converged residuals of 7-9e-13 over the 1e-12 gate."""
     U = config.U
     a1, a2 = config.targets
-    sk = np.sin(k)
     f1 = config.L * k - a1
     if len(mu):
-        t1 = _theta1(sk[:, None] - mu[None, :], U)
-        f1 = f1 + t1.sum(axis=1)
+        t1 = _theta(np.subtract.outer(np.sin(k), mu), 4.0, U)
+        f1 += t1.sum(axis=1)
         f2 = -t1.T.copy().sum(axis=1) - a2
-        dmm = mu[:, None] - mu[None, :]
-        t2 = _theta2(dmm, U)
+        t2 = _theta(np.subtract.outer(mu, mu), 2.0, U)
         np.fill_diagonal(t2, 0.0)
-        f2 = f2 - t2.sum(axis=1)
+        f2 -= t2.sum(axis=1)
         return np.concatenate([f1, f2])
     return f1
 
@@ -192,9 +192,9 @@ def _jacobian_blocks(
     theta1' is even, so the k-rows and the mu-rows share the n x m matrix d1."""
     U = config.U
     ck = np.cos(k)
-    d1 = _dtheta1(np.sin(k)[:, None] - mu[None, :], U)
+    d1 = _dtheta(np.subtract.outer(np.sin(k), mu), 4.0, U)
     dk = config.L + ck * d1.sum(axis=1)
-    e = _dtheta2(mu[:, None] - mu[None, :], U)
+    e = _dtheta(np.subtract.outer(mu, mu), 2.0, U)
     np.fill_diagonal(e, 0.0)
     diag = d1.sum(axis=0) - e.sum(axis=1)
     np.fill_diagonal(e, diag)
@@ -220,8 +220,13 @@ def _newton_step(k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarr
     n = len(k)
     f1, f2 = f[:n], f[n:]
     w = d1.T * (ck / dk)
-    step_mu = np.linalg.solve(e - w @ d1, f2 + w @ f1)
-    step_k = (f1 + d1 @ step_mu) / dk
+    e -= w @ d1
+    rhs = w @ f1
+    rhs += f2
+    step_mu = np.linalg.solve(e, rhs)
+    step_k = d1 @ step_mu
+    step_k += f1
+    step_k /= dk
     return np.concatenate([step_k, step_mu])
 
 
@@ -306,6 +311,7 @@ _U_START = 20.0
 #: sizes up to this one are solved without a size ladder
 _LADDER_FLOOR = 33
 
+#: the config and roots of a solved state, the start of a solve at the same U
 Seed = Tuple[BetheConfig, BetheRoots]
 
 
@@ -321,8 +327,9 @@ def _extrapolating_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.n
 
 
 def _size_seed(config: BetheConfig, seed: Seed) -> Tuple[np.ndarray, np.ndarray]:
-    """Start for ``config`` from the roots of the same state at another size:
-    k is interpolated over (q1 + shift)/L, arctan mu over (q2 + shift)/L."""
+    """Start for ``config`` from the roots of a solved state at the same U,
+    of any class and size: k is interpolated over (q1 + shift)/L, arctan mu
+    over (q2 + shift)/L."""
     seed_config, seed_roots = seed
     x1, x2 = (a / (2.0 * np.pi * config.L) for a in config.targets)
     xp1, xp2 = (a / (2.0 * np.pi * seed_config.L) for a in seed_config.targets)
@@ -352,12 +359,13 @@ def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[Seed] = None) 
     """Solve the logarithmic equations for the configured root class.
 
     Tries coupling paths in turn: given a ``seed`` (the config and roots of
-    the same state and U at another size), Newton at the target U from the
-    size seed; then the target U directly from the decoupled guess; then,
-    below ``_U_START``, a continuation in decreasing U from there.  Every
-    path runs a damped Newton iteration (step halving on residual increase)
-    at each coupling on it.  Raises the last path's ``SolverError`` when
-    every path fails, and ``ValueError`` unless tol is finite and positive.
+    a solved state at the same U: the same state at another size, or another
+    state at any size), Newton at the target U from the seed; then the
+    target U directly from the decoupled guess; then, below ``_U_START``, a
+    continuation in decreasing U from there.  Every path runs a damped
+    Newton iteration (step halving on residual increase) at each coupling
+    on it.  Raises the last path's ``SolverError`` when every path fails,
+    and ``ValueError`` unless tol is finite and positive.
     """
     _check_tol(tol)
     for (k, mu), path in _starts(config, seed):
@@ -443,8 +451,8 @@ def energy(
 @lru_cache(maxsize=4096)
 def state_energy(state: str, L: int, U: float) -> float:
     """Energy of one tabulated state class at (L, U), solved along its size
-    ladder; solves are pure, so repeat lookups (gap plus estimator
-    pipelines) are cached."""
+    ladder; solves are pure, so repeat lookups (the estimator pipelines)
+    are cached."""
     config, roots = solve_state(state, L, U)
     return energy(roots, config)
 
@@ -467,9 +475,16 @@ def charge_gap(L: int, U: float, parity: str) -> float:
 
     Even parity: E0(L/2, L/2-1) - E0(L/2, L/2) at L = 2 (mod 4).
     Odd parity: E0((L-1)/2, (L-1)/2) - E0((L+1)/2, (L-1)/2) at odd L.
+
+    The ground state is solved along its size ladder, and the charge
+    excitation once, at L, seeded from the ground roots at L.  Neither
+    energy goes through the ``state_energy`` cache.
     """
     check_parity_class(L, parity)
-    return state_energy("charge_excitation", L, U) - state_energy("ground", L, U)
+    ground_config, ground_roots = solve_state("ground", L, U)
+    config = quantum_numbers("charge_excitation", L, U)
+    roots = solve(config, seed=(ground_config, ground_roots))
+    return energy(roots, config) - energy(ground_roots, ground_config)
 
 
 def l2_closed_forms(U: float) -> List[dict]:

@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, repeat
 from typing import Dict, List, Optional, Sequence
 
@@ -279,7 +279,10 @@ def _deviation_row(table, u, L, value, reference, include_suspect):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call in the process; parsing leaves no state in it."""
     p = argparse.ArgumentParser(prog="chargepair",
                                 description="pairing-chain workbench: spectra, Bethe roots, "
                                             "scaling estimators and integrability checks")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargepair import bethe
+from chargepair import bethe, cli
 from chargepair.bethe import (
     BetheConfig,
     BetheRoots,
@@ -111,6 +111,22 @@ class TestQuantumNumbers:
         assert cfg.targets is cfg.targets
 
 
+def _parent_theta1(x, U):
+    return 2.0 * np.arctan(4.0 * x / U)
+
+
+def _parent_theta2(x, U):
+    return 2.0 * np.arctan(2.0 * x / U)
+
+
+def _parent_dtheta1(x, U):
+    return 8.0 * U / (U * U + 16.0 * x * x)
+
+
+def _parent_dtheta2(x, U):
+    return 4.0 * U / (U * U + 4.0 * x * x)
+
+
 def _parent_residual(k, mu, config):
     """The residual as written with two theta1 matrices, theta1(sin k - mu)
     and theta1(mu - sin k): the reference for the one-matrix form."""
@@ -119,12 +135,38 @@ def _parent_residual(k, mu, config):
     sk = np.sin(k)
     f1 = config.L * k - a1
     if len(mu):
-        f1 = f1 + bethe._theta1(sk[:, None] - mu[None, :], U).sum(axis=1)
-        f2 = bethe._theta1(mu[:, None] - sk[None, :], U).sum(axis=1) - a2
-        t2 = bethe._theta2(mu[:, None] - mu[None, :], U)
+        f1 = f1 + _parent_theta1(sk[:, None] - mu[None, :], U).sum(axis=1)
+        f2 = _parent_theta1(mu[:, None] - sk[None, :], U).sum(axis=1) - a2
+        t2 = _parent_theta2(mu[:, None] - mu[None, :], U)
         np.fill_diagonal(t2, 0.0)
         return np.concatenate([f1, f2 - t2.sum(axis=1)])
     return f1
+
+
+def _parent_jacobian_blocks(k, mu, config):
+    """The Jacobian blocks with out-of-place kernels: the reference for the
+    in-place ones."""
+    U = config.U
+    ck = np.cos(k)
+    d1 = _parent_dtheta1(np.sin(k)[:, None] - mu[None, :], U)
+    dk = config.L + ck * d1.sum(axis=1)
+    e = _parent_dtheta2(mu[:, None] - mu[None, :], U)
+    np.fill_diagonal(e, 0.0)
+    diag = d1.sum(axis=0) - e.sum(axis=1)
+    np.fill_diagonal(e, diag)
+    return dk, ck, d1, e
+
+
+def _parent_newton_step(k, mu, config, f):
+    """The Schur step with out-of-place assembly: the reference for the
+    in-place one."""
+    dk, ck, d1, e = _parent_jacobian_blocks(k, mu, config)
+    n = len(k)
+    f1, f2 = f[:n], f[n:]
+    w = d1.T * (ck / dk)
+    step_mu = np.linalg.solve(e - w @ d1, f2 + w @ f1)
+    step_k = (f1 + d1 @ step_mu) / dk
+    return np.concatenate([step_k, step_mu])
 
 
 class TestResidual:
@@ -178,8 +220,29 @@ class TestResidual:
     def test_theta1_is_odd_bit_for_bit(self, xs, U):
         # the one-matrix residual rests on this: theta1(mu - s) = -theta1(s - mu)
         x = np.array(xs)
-        assert np.array_equal(bethe._theta1(-x, U).view(np.int64),
-                              (-bethe._theta1(x, U)).view(np.int64))
+        assert np.array_equal(bethe._theta(-x, 4.0, U).view(np.int64),
+                              (-bethe._theta(x.copy(), 4.0, U)).view(np.int64))
+
+    # couplings that are not powers of two, where a reordered scaling by U rounds differently
+    @pytest.mark.parametrize("state,L,U", [("ground", 13, 3.0), ("first_excitation", 13, 0.7),
+                                           ("charge_excitation", 385, 3.0),
+                                           ("ground", 1025, 3.0)])
+    def test_in_place_kernels_are_bit_identical(self, state, L, U):
+        cfg = quantum_numbers(state, L, U)
+        rng = np.random.default_rng(L + 7)
+        _, roots = solve_state(state, L, U)
+        n, m = len(cfg.q1), len(cfg.q2)
+        points = [(roots.k, roots.mu),
+                  (rng.uniform(-np.pi, np.pi, n), rng.normal(size=m)),
+                  (rng.uniform(-np.pi, np.pi, n), rng.normal(scale=1e-3, size=m))]
+        for k, mu in points:
+            f = rng.normal(size=n + m)
+            for new, old in zip(bethe._jacobian_blocks(k, mu, cfg),
+                                _parent_jacobian_blocks(k, mu, cfg)):
+                assert np.array_equal(new, old)
+            assert np.array_equal(bethe._newton_step(k, mu, cfg, f),
+                                  _parent_newton_step(k, mu, cfg, f))
+            assert np.array_equal(bethe._residual(k, mu, cfg), _parent_residual(k, mu, cfg))
 
 
 def _finite_difference_jacobian(fun, x, h=1e-6):
@@ -486,6 +549,52 @@ class TestChargeGap:
         e_ground = sector_levels(5, U, Sector(3, 2))[0]
         e_charge = sector_levels(5, U, Sector(2, 2))[0]
         assert abs(gap - (e_charge - e_ground)) < 1e-10
+
+    @pytest.mark.parametrize("L,parity", [(142, "even"), (385, "odd")])
+    def test_one_ground_ladder_and_one_seeded_excitation(self, monkeypatch, L, parity):
+        original = bethe.solve
+        calls = []
+
+        def spy(config, tol=1e-12, seed=None):
+            calls.append((config, seed))
+            return original(config, tol, seed)
+
+        def no_cache(*args):
+            raise AssertionError("the gap went through the state_energy cache")
+
+        monkeypatch.setattr(bethe, "solve", spy)
+        monkeypatch.setattr(bethe, "state_energy", no_cache)
+        charge_gap(L, 2.0, parity)
+        ladder = bethe.ladder_sizes(L)
+        assert len(calls) == len(ladder) + 1
+        assert [c.L for c, _ in calls[:-1]] == ladder
+        assert all(c == quantum_numbers("ground", c.L, 2.0) for c, _ in calls[:-1])
+        excitation, seed = calls[-1]
+        assert excitation == quantum_numbers("charge_excitation", L, 2.0)
+        assert seed[0] == quantum_numbers("ground", L, 2.0)
+
+    @pytest.mark.parametrize("U", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("L,parity", [(6, "even"), (142, "even"), (5, "odd"), (145, "odd")])
+    def test_gap_equals_difference_of_state_energies(self, L, parity, U):
+        difference = (bethe.state_energy("charge_excitation", L, U)
+                      - bethe.state_energy("ground", L, U))
+        assert abs(charge_gap(L, U, parity) - difference) <= 1e-12
+
+    def test_ground_failure_at_the_size_raises(self, monkeypatch, capsys):
+        original = bethe.solve
+        ground = quantum_numbers("ground", 62, 2.0)
+
+        def fail_at_ground(config, tol=1e-12, seed=None):
+            if config == ground:
+                raise SolverError("ground stalled", residual=3.0)
+            return original(config, tol, seed)
+
+        monkeypatch.setattr(bethe, "solve", fail_at_ground)
+        with pytest.raises(SolverError, match="ground stalled") as err:
+            charge_gap(62, 2.0, "even")
+        assert err.value.residual == 3.0
+        assert cli.main(["gap", "--L", "62", "--U", "2", "--parity", "even"]) == 1
+        assert "solver failure" in capsys.readouterr().err
 
     def test_parity_preconditions(self):
         with pytest.raises(ValueError):

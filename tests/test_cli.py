@@ -134,6 +134,25 @@ class TestDeterminismAndManifest:
         assert serial["csv"] == parallel["csv"]
 
 
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_do_not_interfere(self, tmp_path):
+        table2 = ["reproduce", "table2"]
+        gap = ["gap", "--L", "62", "--U", "2", "--parity", "even"]
+        _, first = run(table2, tmp_path, name="table2", fmt="json")
+        _, shared = run(gap, tmp_path, name="gap", fmt="json")
+        _, second = run(table2, tmp_path, name="table2", fmt="json")
+        for payload in (first, second):
+            del payload["json"]["manifest"]["wall_time_s"]
+        assert first == second
+        cli.build_parser.cache_clear()
+        _, fresh = run(gap, tmp_path, name="fresh", fmt="json")
+        assert shared["json"]["rows"] == fresh["json"]["rows"]
+        assert shared["json"]["rows"][0]["gap"] == bethe.charge_gap(62, 2.0, "even")
+
+
 class TestReproduce:
     def test_table4_deviations(self, tmp_path):
         code, res = run(
