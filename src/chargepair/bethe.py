@@ -341,10 +341,10 @@ def _size_seed(config: BetheConfig, seed: Seed) -> Tuple[np.ndarray, np.ndarray]
 
 def _starts(config: BetheConfig, seed: Optional[Seed]):
     """The coupling paths of ``solve`` in the order they are tried, each as
-    (start, couplings); a start is only built when its path is reached."""
-    if seed is not None:
-        yield _size_seed(config, seed), [config.U]
-    yield _initial_guess(config), [config.U]
+    (start, couplings): one start at the target U (the size seed when a seed
+    is given, else the decoupled guess), then, below ``_U_START``, the
+    continuation in U.  A start is only built when its path is reached."""
+    yield (_initial_guess(config) if seed is None else _size_seed(config, seed)), [config.U]
     if config.U < _U_START:
         path = _continuation_path(config.U)
         yield _initial_guess(replace(config, U=path[0])), path
@@ -358,14 +358,14 @@ def _check_tol(tol: float) -> None:
 def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[Seed] = None) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
-    Tries coupling paths in turn: given a ``seed`` (the config and roots of
-    a solved state at the same U: the same state at another size, or another
-    state at any size), Newton at the target U from the seed; then the
-    target U directly from the decoupled guess; then, below ``_U_START``, a
-    continuation in decreasing U from there.  Every path runs a damped
-    Newton iteration (step halving on residual increase) at each coupling
-    on it.  Raises the last path's ``SolverError`` when every path fails,
-    and ``ValueError`` unless tol is finite and positive.
+    Tries one start at the target U: the ``seed`` when one is given (the
+    config and roots of a solved state at the same U: the same state at
+    another size, or another state at any size), else the decoupled guess.
+    If Newton fails from there and U is below ``_U_START``, a continuation
+    in decreasing U from the decoupled guess at ``_U_START`` follows.  Every
+    path runs a damped Newton iteration (step halving on residual increase)
+    at each coupling on it.  Raises the last path's ``SolverError`` when
+    every path fails, and ``ValueError`` unless tol is finite and positive.
     """
     _check_tol(tol)
     for (k, mu), path in _starts(config, seed):
@@ -396,19 +396,15 @@ def ladder_sizes(L: int) -> List[int]:
 
 def solve_state(state: str, L: int, U: float, tol: float = 1e-12) -> Seed:
     """Config and roots of one tabulated state, solved along ``ladder_sizes(L)``
-    with each size seeded by the one below.  A size that fails on every path
-    leaves the next one unseeded; a failure at L raises its ``SolverError``.
-    A tol that is not finite and positive raises ``ValueError`` before any solve."""
+    with each size seeded by the one below.  A failed size raises its
+    ``SolverError``, and no larger size is solved.  A tol that is not finite
+    and positive raises ``ValueError`` before any solve, and so does a size
+    outside the parity classes."""
     _check_tol(tol)
-    target = quantum_numbers(state, L, U)
     seed = None
-    for size in ladder_sizes(L)[:-1]:
-        config = quantum_numbers(state, size, U)
-        try:
-            seed = config, solve(config, tol, seed)
-        except SolverError:
-            seed = None
-    return target, solve(target, tol, seed)
+    for config in [quantum_numbers(state, size, U) for size in ladder_sizes(L)]:
+        seed = config, solve(config, tol, seed)
+    return seed
 
 
 def _validated_roots(

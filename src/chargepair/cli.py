@@ -160,15 +160,9 @@ def cmd_scaling_dim(args) -> List[Dict]:
 
 
 def cmd_liebwu(args) -> List[Dict]:
-    if args.quantity == "gap":
-        value = liebwu.gap_infinite(args.U)
-    elif args.quantity == "energy":
-        value = liebwu.ground_energy_density(args.U)
-    elif args.quantity == "xi":
-        value = liebwu.spin_velocity(args.U)
-    else:
-        raise ValueError(args.quantity)
-    return [{"quantity": args.quantity, "U": args.U, "value": value}]
+    value_of = {"gap": liebwu.gap_infinite, "energy": liebwu.ground_energy_density,
+                "xi": liebwu.spin_velocity}[args.quantity]
+    return [{"quantity": args.quantity, "U": args.U, "value": value_of(args.U)}]
 
 
 def cmd_extrapolate(args) -> List[Dict]:
@@ -182,23 +176,17 @@ def cmd_extrapolate(args) -> List[Dict]:
 
 def cmd_ybe(args) -> List[Dict]:
     rng = np.random.default_rng(args.seed)
-    rows = []
     if args.variant == "spin":
         pairs = rng.uniform(0.0, 2.0 * np.pi, size=(args.pairs, 2))
         res = [ybx.ybe_residual_spin(l1, l2, args.U) for l1, l2 in pairs]
-        rows.append({"variant": "spin", "U": args.U, "pairs": args.pairs,
-                     "max_residual": max(res), "mean_residual": float(np.mean(res))})
     elif args.variant == "graded":
         pts = ybx.random_curve_points(args.U, 2 * args.pairs, args.seed)
         res = [ybx.ybe_residual_graded(pts[i], pts[args.pairs + i]) for i in range(args.pairs)]
-        rows.append({"variant": "graded", "U": args.U, "pairs": args.pairs,
-                     "max_residual": max(res), "mean_residual": float(np.mean(res))})
     else:
         lams = rng.uniform(0.0, 2.0 * np.pi, size=args.pairs)
         res = [ybx.curve_point(lam, args.U).residual for lam in lams]
-        rows.append({"variant": "curve", "U": args.U, "pairs": args.pairs,
-                     "max_residual": max(res), "mean_residual": float(np.mean(res))})
-    return rows
+    return [{"variant": args.variant, "U": args.U, "pairs": args.pairs,
+             "max_residual": max(res), "mean_residual": float(np.mean(res))}]
 
 
 def cmd_transfer(args) -> List[Dict]:
@@ -289,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output base path; writes <out>.csv / <out>.json")
     common.add_argument("--format", choices=("csv", "json", "both"), default="csv")
-    common.add_argument("--jobs", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", parents=[common], help="eigenvalues of one model")
@@ -362,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("table", choices=("table2", "table4", "table5", "table7", "table8", "table9"))
     rp.add_argument("--U", type=float)
     rp.add_argument("--sizes", help="trim to these sizes")
+    rp.add_argument("--jobs", type=int, default=1, help="worker processes over the U columns")
     rp.add_argument("--include-suspect", action="store_true",
                     help="score the known out-of-trend cells as well")
     rp.set_defaults(func=cmd_reproduce)

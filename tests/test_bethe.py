@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dataclasses import replace
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -378,6 +379,7 @@ class TestSolve:
     def test_paths_that_fail_raise_the_last_error(self, monkeypatch):
         # at U >= 20 the continuation would start at the target itself, so
         # the direct attempt is the only path and runs once
+        seed = solve_state("ground", 6, 30.0)
         calls = []
 
         def stall(k, mu, config, tol):
@@ -392,6 +394,11 @@ class TestSolve:
         with pytest.raises(SolverError, match="U=20"):
             solve(quantum_numbers("ground", 6, 2.0))
         assert calls == [2.0, 20.0]
+        # a seeded solve makes its one start from the seed
+        calls.clear()
+        with pytest.raises(SolverError, match="U=30"):
+            solve(quantum_numbers("ground", 14, 30.0), seed=seed)
+        assert calls == [30.0]
 
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -451,7 +458,7 @@ class TestLadder:
         assert at_target == [U]
         assert abs(energy(roots, config) - unseeded) <= 1e-12
 
-    def test_stalled_size_seed_gives_the_unseeded_roots(self, monkeypatch):
+    def test_stalled_size_seed_falls_back_to_continuation(self, monkeypatch):
         config = quantum_numbers("ground", 65, 2.0)
         seed = solve_state("ground", 31, 2.0)
         unseeded = solve(config)
@@ -459,33 +466,56 @@ class TestLadder:
         starts = []
 
         def stall_from_seed(k, mu, cfg, tol):
-            starts.append(k)
+            starts.append((k, mu, cfg.U))
             if len(starts) == 1:
                 raise SolverError("damped Newton stalled", residual=1.0)
             return newton(k, mu, cfg, tol)
 
         monkeypatch.setattr(bethe, "_newton", stall_from_seed)
         roots = solve(config, seed=seed)
-        assert np.array_equal(starts[0], bethe._size_seed(config, seed)[0])
-        assert np.array_equal(roots.k, unseeded.k)
-        assert np.array_equal(roots.mu, unseeded.mu)
-        assert (roots.residual_norm, roots.iterations) == (
-            unseeded.residual_norm, unseeded.iterations)
+        seeded_k, seeded_mu = bethe._size_seed(config, seed)
+        assert np.array_equal(starts[0][0], seeded_k) and np.array_equal(starts[0][1], seeded_mu)
+        assert starts[0][2] == 2.0
+        # the next run is the continuation's first coupling, not the target
+        guess_k, guess_mu = bethe._initial_guess(replace(config, U=20.0))
+        assert np.array_equal(starts[1][0], guess_k) and np.array_equal(starts[1][1], guess_mu)
+        assert starts[1][2] == 20.0
+        assert np.max(np.abs(bethe_residual(roots, config))) <= 1e-12
+        assert abs(energy(roots, config) - energy(unseeded, config)) <= 1e-12
 
-    def test_failed_size_leaves_the_next_unseeded(self, monkeypatch):
+    def test_stalled_seed_costs_one_newton_run(self, monkeypatch):
+        # at U = 0.5 the size seed stalls at L = 302; continuation from U = 20
+        # rescues the size, and no Newton run from the decoupled guess at the
+        # target comes in between
+        newton = bethe._newton
+        runs = []
+
+        def spy(k, mu, cfg, tol):
+            runs.append((cfg.L, cfg.U))
+            return newton(k, mu, cfg, tol)
+
+        monkeypatch.setattr(bethe, "_newton", spy)
+        config, roots = solve_state("ground", 302, 0.5)
+        at_size = [u for size, u in runs if size == 302]
+        before_continuation = at_size[:at_size.index(20.0)] if 20.0 in at_size else at_size
+        assert before_continuation.count(0.5) <= 1
+        assert abs(energy(roots, config) - -385.79099058585325) <= 1e-12
+
+    def test_failed_size_raises_and_stops_the_ladder(self, monkeypatch):
         original = bethe.solve
         calls = []
 
         def fail_at_115(config, tol=1e-12, seed=None):
             calls.append((config.L, seed[0].L if seed else None))
             if config.L == 115:
-                raise SolverError("stalled", residual=1.0)
+                raise SolverError("stalled at 115", residual=1.0)
             return original(config, tol, seed)
 
         monkeypatch.setattr(bethe, "solve", fail_at_115)
-        config, roots = solve_state("ground", 465, 4.0)
-        assert calls == [(27, None), (57, 27), (115, 57), (231, None), (465, 231)]
-        assert np.max(np.abs(bethe_residual(roots, config))) <= 1e-12
+        with pytest.raises(SolverError, match="stalled at 115") as err:
+            solve_state("ground", 465, 4.0)
+        assert err.value.residual == 1.0
+        assert calls == [(27, None), (57, 27), (115, 57)]
 
     def test_failure_at_the_target_raises(self, monkeypatch):
         original = bethe.solve

@@ -104,9 +104,20 @@ class TestDeterminismAndManifest:
             == second["json"]["manifest"]["csv_sha256"]
         )
 
-    def test_seed_echoed_in_manifest(self, tmp_path):
-        _, res = run(["ybe", "spin", "--U", "4", "--pairs", "100", "--seed", "7"], tmp_path)
+    # recorded rows of U = 4, 100 pairs, seed 7; the residuals sit at the
+    # rounding level, which differs between CPUs, so they are compared to 1e-13
+    @pytest.mark.parametrize("variant,max_residual,mean_residual", [
+        ("spin", 3.688022109926692e-15, 7.120723862698721e-16),
+        ("graded", 2.7894353493707058e-14, 2.9990685499262095e-15),
+        ("curve", 3.552713678800501e-15, 4.1078251911130794e-16),
+    ], ids=["spin", "graded", "curve"])
+    def test_seed_echoed_in_manifest(self, tmp_path, variant, max_residual, mean_residual):
+        _, res = run(["ybe", variant, "--U", "4", "--pairs", "100", "--seed", "7"], tmp_path)
         assert res["json"]["manifest"]["seed"] == 7
+        assert res["json"]["rows"] == [{
+            "variant": variant, "U": 4.0, "pairs": 100,
+            "max_residual": pytest.approx(max_residual, abs=1e-13),
+            "mean_residual": pytest.approx(mean_residual, abs=1e-13)}]
         assert res["json"]["rows"][0]["max_residual"] < 1e-12
 
     def test_csv_values_present_in_json(self, tmp_path):
@@ -250,6 +261,12 @@ class TestExitCodes:
         code = cli.main(["gap", "--L", "62", "--U", "2", "--parity", "even"])
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
+
+    def test_jobs_is_an_option_of_reproduce_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["liebwu", "xi", "--U", "2", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_stdout_csv_default(self, capsys):
         code = cli.main(["liebwu", "xi", "--U", "2"])
