@@ -94,16 +94,25 @@ def _frac_seq(start: Fraction, step: int, count: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(n0 + step * j * d, d) for j in range(count))
 
 
+def parity(L: int) -> str:
+    """Parity class of the size L: ``ODD`` for odd L, ``EVEN`` for L = 2
+    (mod 4).  Multiples of four share the spectrum of the plain hopping
+    chain, belong to neither class and raise ``ValueError``."""
+    if L % 2:
+        return ODD
+    if L % 4 == 2:
+        return EVEN
+    raise ValueError(f"even sizes need L = 2 (mod 4), got L={L}")
+
+
 def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
     """Branch numbers of the tabulated low-lying states.
 
-    Even parity covers L = 2 (mod 4) (sizes that are multiples of four share
-    the spectrum of the plain hopping chain and are excluded here); odd
-    parity covers odd L.
+    The states on offer follow from ``parity(L)``: ``STATES_EVEN`` at
+    L = 2 (mod 4), ``STATES_ODD`` at odd L; any other size raises
+    ``ValueError``.
     """
-    if L % 2 == 0:
-        if L % 4 != 2:
-            raise ValueError("even-parity states need L = 2 (mod 4)")
+    if parity(L) == EVEN:
         if state == "ground":
             q1 = _frac_seq(Fraction(L, 2), -1, L)
             q2 = _frac_seq(-Fraction(L - 2, 4), 1, L // 2)
@@ -453,30 +462,18 @@ def state_energy(state: str, L: int, U: float) -> float:
     return energy(roots, config)
 
 
-def check_parity_class(L: int, parity: str) -> None:
-    """Raise ``ValueError`` unless L is a size of the parity class: L = 2
-    (mod 4) for even parity, odd L for odd parity."""
-    if parity == EVEN:
-        if L % 4 != 2:
-            raise ValueError(f"even parity needs L = 2 (mod 4), got L={L}")
-    elif parity == ODD:
-        if L % 2 == 0:
-            raise ValueError(f"odd parity needs odd L, got L={L}")
-    else:
-        raise ValueError(f"parity must be even or odd, got {parity!r}")
+def charge_gap(L: int, U: float) -> float:
+    """Gap of one charge excitation over the half-filled ground state; the
+    formula follows from the parity class of L.
 
+    Even L (L = 2 (mod 4)): E0(L/2, L/2-1) - E0(L/2, L/2).
+    Odd L: E0((L-1)/2, (L-1)/2) - E0((L+1)/2, (L-1)/2).
 
-def charge_gap(L: int, U: float, parity: str) -> float:
-    """Gap of one charge excitation over the half-filled ground state.
-
-    Even parity: E0(L/2, L/2-1) - E0(L/2, L/2) at L = 2 (mod 4).
-    Odd parity: E0((L-1)/2, (L-1)/2) - E0((L+1)/2, (L-1)/2) at odd L.
-
-    The ground state is solved along its size ladder, and the charge
-    excitation once, at L, seeded from the ground roots at L.  Neither
-    energy goes through the ``state_energy`` cache.
+    A multiple of four raises ``ValueError`` before any solve.  The ground
+    state is solved along its size ladder, and the charge excitation once,
+    at L, seeded from the ground roots at L.  Neither energy goes through
+    the ``state_energy`` cache.
     """
-    check_parity_class(L, parity)
     ground_config, ground_roots = solve_state("ground", L, U)
     config = quantum_numbers("charge_excitation", L, U)
     roots = solve(config, seed=(ground_config, ground_roots))

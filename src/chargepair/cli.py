@@ -145,8 +145,8 @@ def cmd_bethe(args) -> List[Dict]:
 
 
 def cmd_gap(args) -> List[Dict]:
-    value = bethe.charge_gap(args.L, args.U, args.parity)
-    return [{"L": args.L, "U": args.U, "parity": args.parity, "gap": value}]
+    value = bethe.charge_gap(args.L, args.U)
+    return [{"L": args.L, "U": args.U, "parity": bethe.parity(args.L), "gap": value}]
 
 
 def cmd_central_charge(args) -> List[Dict]:
@@ -168,6 +168,8 @@ def cmd_liebwu(args) -> List[Dict]:
 def cmd_extrapolate(args) -> List[Dict]:
     sizes = _parse_sizes(args.sizes)
     values = [float(t) for t in args.values.split(",") if t.strip()]
+    if len(sizes) != len(values):
+        raise ValueError(f"{len(sizes)} sizes but {len(values)} values")
     series = fss.FssSeries(tuple(zip(sizes, values)))
     result = fss.extrapolate(series, mode=args.mode)
     return [{"mode": args.mode, "limit": result.limit, "uncertainty": result.uncertainty,
@@ -205,11 +207,6 @@ def cmd_transfer(args) -> List[Dict]:
 # --- reproduce -------------------------------------------------------------
 
 
-#: parity class of the sizes of each solved table
-_TABLE_PARITY = {"table4": bethe.EVEN, "table5": bethe.EVEN,
-                 "table7": bethe.ODD, "table8": bethe.ODD, "table9": bethe.ODD}
-
-
 def _column(table: str, U: float, sizes: List[int]) -> Dict[int, float]:
     """One coupling column of a table as {L: value}.  Tables 8/9 eliminate
     the log amplitude between consecutive sizes, so their column starts at
@@ -218,7 +215,7 @@ def _column(table: str, U: float, sizes: List[int]) -> Dict[int, float]:
         return dict(fss.scaling_dimension_series(int(table == "table9"), sizes, U).points)
     if table == "table5":
         return {L: fss.central_charge_estimator(L, U) for L in sizes}
-    return {L: bethe.charge_gap(L, U, _TABLE_PARITY[table]) for L in sizes}
+    return {L: bethe.charge_gap(L, U) for L in sizes}
 
 
 def cmd_reproduce(args) -> tuple:
@@ -235,8 +232,10 @@ def cmd_reproduce(args) -> tuple:
     us = [args.U] if args.U is not None else sorted(ref)
     default_sizes = sorted(next(iter(ref.values())).keys())
     sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
+    table_class = bethe.parity(default_sizes[0])
     for L in sizes:
-        bethe.check_parity_class(L, _TABLE_PARITY[table])
+        if bethe.parity(L) != table_class:
+            raise ValueError(f"{table} holds {table_class} sizes, got L={L}")
 
     jobs = min(args.jobs, len(us))
     if jobs > 1:
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("gap", parents=[common], help="finite-size charge gap")
     gp.add_argument("--L", type=int, required=True)
     gp.add_argument("--U", type=float, required=True)
-    gp.add_argument("--parity", required=True, choices=("even", "odd"))
     gp.set_defaults(func=cmd_gap)
 
     ccp = sub.add_parser("central-charge", parents=[common], help="central-charge estimator C(L)")

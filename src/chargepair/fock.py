@@ -264,18 +264,5 @@ def assemble_operator(
     return mat
 
 
-def basis_vector(L: int, state: FockState, sector: Optional[Sector] = None) -> np.ndarray:
-    """Unit amplitude vector of a basis state in the enumerated basis."""
-    if state.L != L:
-        raise ValueError(f"state of {state.L} sites in the basis of L={L}")
-    words = _basis_words(L, sector)
-    i = int(np.searchsorted(words, state.word))
-    if i == len(words) or words[i] != state.word:
-        raise ValueError("state not contained in the enumerated basis")
-    vec = np.zeros(len(words), dtype=complex)
-    vec[i] = 1.0
-    return vec
-
-
 def vacuum_state(L: int) -> FockState:
     return FockState(0, 0, L)

@@ -94,6 +94,8 @@ def scaling_dimension_series(
         raise ValueError("need at least two sizes")
     if any(L % 2 == 0 for L in sizes):
         raise ValueError("sizes must be odd")
+    if any(l2 <= l1 for l1, l2 in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
     if assign not in ("upper", "lower"):
         raise ValueError("assign must be 'upper' or 'lower'")
     state = _DIMENSION_STATES[j]

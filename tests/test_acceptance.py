@@ -131,7 +131,7 @@ def test_07_even_gap_table():
     t0 = time.time()
     for L, U in ((62, 2.0), (302, 3.0), (1038, 4.0)):
         ref = reference_tables.GAP_EVEN[U][L]
-        assert abs(bethe.charge_gap(L, U, "even") - ref) <= 1e-8
+        assert abs(bethe.charge_gap(L, U) - ref) <= 1e-8
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(7, f"even-size gap table entries (62,2), (302,3), (1038,4) [{elapsed:.1f}s]")
@@ -141,7 +141,7 @@ def test_08_odd_gap_table():
     t0 = time.time()
     for L, U in ((65, 2.0), (225, 4.0), (1025, 3.0)):
         ref = reference_tables.GAP_ODD[U][L]
-        assert abs(bethe.charge_gap(L, U, "odd") - ref) <= 1e-8
+        assert abs(bethe.charge_gap(L, U) - ref) <= 1e-8
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(8, f"odd-size gap table entries (65,2), (225,4), (1025,3) [{elapsed:.1f}s]")

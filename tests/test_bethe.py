@@ -70,6 +70,16 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError, match="2 \\(mod 4\\)"):
             quantum_numbers("ground", 8)
 
+    @pytest.mark.parametrize("L,expected", [(1, "odd"), (2, "even"), (65, "odd"),
+                                            (1025, "odd"), (1038, "even")])
+    def test_parity_class_follows_from_the_size(self, L, expected):
+        assert bethe.parity(L) == expected
+
+    @pytest.mark.parametrize("L", [0, 4, 64, 1024])
+    def test_multiple_of_four_has_no_parity_class(self, L):
+        with pytest.raises(ValueError, match=f"2 \\(mod 4\\), got L={L}$"):
+            bethe.parity(L)
+
     def test_state_parity_pairing(self):
         with pytest.raises(ValueError):
             quantum_numbers("spin_excitation", 5)
@@ -568,20 +578,21 @@ class TestEnergy:
 class TestChargeGap:
     def test_even_gap_matches_exact_diagonalization(self):
         U = 2.0
-        gap = charge_gap(6, U, "even")
+        gap = charge_gap(6, U)
         e_half = sector_levels(6, U, Sector(3, 3))[0]
         e_hole = sector_levels(6, U, Sector(3, 2))[0]
         assert abs(gap - (e_hole - e_half)) < 1e-10
 
     def test_odd_gap_matches_exact_diagonalization(self):
         U = 2.0
-        gap = charge_gap(5, U, "odd")
+        gap = charge_gap(5, U)
         e_ground = sector_levels(5, U, Sector(3, 2))[0]
         e_charge = sector_levels(5, U, Sector(2, 2))[0]
         assert abs(gap - (e_charge - e_ground)) < 1e-10
 
     @pytest.mark.parametrize("L,parity", [(142, "even"), (385, "odd")])
     def test_one_ground_ladder_and_one_seeded_excitation(self, monkeypatch, L, parity):
+        assert bethe.parity(L) == parity
         original = bethe.solve
         calls = []
 
@@ -594,7 +605,7 @@ class TestChargeGap:
 
         monkeypatch.setattr(bethe, "solve", spy)
         monkeypatch.setattr(bethe, "state_energy", no_cache)
-        charge_gap(L, 2.0, parity)
+        charge_gap(L, 2.0)
         ladder = bethe.ladder_sizes(L)
         assert len(calls) == len(ladder) + 1
         assert [c.L for c, _ in calls[:-1]] == ladder
@@ -606,9 +617,10 @@ class TestChargeGap:
     @pytest.mark.parametrize("U", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("L,parity", [(6, "even"), (142, "even"), (5, "odd"), (145, "odd")])
     def test_gap_equals_difference_of_state_energies(self, L, parity, U):
+        assert bethe.parity(L) == parity
         difference = (bethe.state_energy("charge_excitation", L, U)
                       - bethe.state_energy("ground", L, U))
-        assert abs(charge_gap(L, U, parity) - difference) <= 1e-12
+        assert abs(charge_gap(L, U) - difference) <= 1e-12
 
     def test_ground_failure_at_the_size_raises(self, monkeypatch, capsys):
         original = bethe.solve
@@ -621,18 +633,16 @@ class TestChargeGap:
 
         monkeypatch.setattr(bethe, "solve", fail_at_ground)
         with pytest.raises(SolverError, match="ground stalled") as err:
-            charge_gap(62, 2.0, "even")
+            charge_gap(62, 2.0)
         assert err.value.residual == 3.0
-        assert cli.main(["gap", "--L", "62", "--U", "2", "--parity", "even"]) == 1
+        assert cli.main(["gap", "--L", "62", "--U", "2"]) == 1
         assert "solver failure" in capsys.readouterr().err
 
     def test_parity_preconditions(self):
-        with pytest.raises(ValueError):
-            charge_gap(8, 2.0, "even")
-        with pytest.raises(ValueError):
-            charge_gap(6, 2.0, "odd")
-        with pytest.raises(ValueError):
-            charge_gap(6, 2.0, "both")
+        with pytest.raises(ValueError, match="2 \\(mod 4\\)"):
+            charge_gap(8, 2.0)
+        with pytest.raises(ValueError, match="2 \\(mod 4\\)"):
+            charge_gap(64, 2.0)
 
 
 class TestClosedForms:

@@ -65,9 +65,17 @@ class TestBasicCommands:
         assert abs(energy - bethe.state_energy("ground", 6, 2.0)) < 1e-12
 
     def test_gap_row(self, tmp_path):
-        code, res = run(["gap", "--L", "62", "--U", "2", "--parity", "even"], tmp_path)
+        code, res = run(["gap", "--L", "62", "--U", "2"], tmp_path)
         assert code == 0
         assert abs(res["json"]["rows"][0]["gap"] - 0.1397049178) < 1e-8
+        assert "parity" not in res["json"]["parameters"]
+
+    @pytest.mark.parametrize("L,parity", [(62, "even"), (65, "odd")])
+    def test_gap_row_parity_follows_from_the_size(self, monkeypatch, tmp_path, L, parity):
+        monkeypatch.setattr(bethe, "charge_gap", lambda L, U: 0.5)
+        code, res = run(["gap", "--L", str(L), "--U", "2"], tmp_path)
+        assert code == 0
+        assert res["csv"] == f"L,U,parity,gap\n{L},2,{parity},0.5\n"
 
     def test_extrapolate_command(self, tmp_path):
         sizes = "10,20,40,80"
@@ -77,6 +85,13 @@ class TestBasicCommands:
         )
         assert code == 0
         assert abs(res["json"]["rows"][0]["limit"] - 0.25) < 1e-9
+
+    @pytest.mark.parametrize("sizes,values", [("10,20,30,40", "1,0.5,0.4"),
+                                              ("10,20,30", "1,0.5,0.4,0.3")])
+    def test_extrapolate_lists_of_different_length(self, tmp_path, capsys, sizes, values):
+        code, res = run(["extrapolate", "--sizes", sizes, "--values", values], tmp_path)
+        assert code == 2 and res == {}
+        assert "usage error" in capsys.readouterr().err
 
     def test_transfer_command(self, tmp_path):
         code, res = run(["transfer", "--L", "3", "--U", "2", "--grid", "3"], tmp_path)
@@ -121,7 +136,7 @@ class TestDeterminismAndManifest:
         assert res["json"]["rows"][0]["max_residual"] < 1e-12
 
     def test_csv_values_present_in_json(self, tmp_path):
-        _, res = run(["gap", "--L", "62", "--U", "2", "--parity", "even"], tmp_path)
+        _, res = run(["gap", "--L", "62", "--U", "2"], tmp_path)
         header = res["csv"].splitlines()[0].split(",")
         values = res["csv"].splitlines()[1].split(",")
         row = res["json"]["rows"][0]
@@ -151,7 +166,7 @@ class TestSharedParser:
 
     def test_calls_in_one_process_do_not_interfere(self, tmp_path):
         table2 = ["reproduce", "table2"]
-        gap = ["gap", "--L", "62", "--U", "2", "--parity", "even"]
+        gap = ["gap", "--L", "62", "--U", "2"]
         _, first = run(table2, tmp_path, name="table2", fmt="json")
         _, shared = run(gap, tmp_path, name="gap", fmt="json")
         _, second = run(table2, tmp_path, name="table2", fmt="json")
@@ -161,7 +176,7 @@ class TestSharedParser:
         cli.build_parser.cache_clear()
         _, fresh = run(gap, tmp_path, name="fresh", fmt="json")
         assert shared["json"]["rows"] == fresh["json"]["rows"]
-        assert shared["json"]["rows"][0]["gap"] == bethe.charge_gap(62, 2.0, "even")
+        assert shared["json"]["rows"][0]["gap"] == bethe.charge_gap(62, 2.0)
 
 
 class TestReproduce:
@@ -210,9 +225,29 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_usage_error_from_validation(self, capsys):
-        code = cli.main(["gap", "--L", "8", "--U", "2", "--parity", "even"])
+        code = cli.main(["gap", "--L", "8", "--U", "2"])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_gap_size_outside_both_classes_fails_before_any_solve(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a gap at a multiple of four")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(["gap", "--L", "64", "--U", "2"]) == 2
+        assert "L=64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["scaling-dim", "--j", "0", "--sizes", "145,65", "--U", "2"],
+                                      ["scaling-dim", "--j", "0", "--sizes", "225,65,145",
+                                       "--U", "2"],
+                                      ["reproduce", "table8", "--U", "2", "--sizes", "145,65"]])
+    def test_unsorted_dimension_sizes_fail_before_any_solve(self, monkeypatch, capsys, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a dimension series over unsorted sizes")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(argv) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_spectrum_needs_positive_k(self, capsys):
         code = cli.main(["spectrum", "--model", "charge_pair", "--L", "2", "--U", "2",
@@ -254,11 +289,11 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
-        def boom(L, U, parity):
+        def boom(L, U):
             raise bethe.SolverError("did not converge", residual=1.0)
 
         monkeypatch.setattr(bethe, "charge_gap", boom)
-        code = cli.main(["gap", "--L", "62", "--U", "2", "--parity", "even"])
+        code = cli.main(["gap", "--L", "62", "--U", "2"])
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
 

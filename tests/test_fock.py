@@ -51,25 +51,6 @@ class TestEnumeration:
         assert fock.sector_dimension(3, None) == 64
 
 
-class TestBasisVector:
-    def test_unit_vector_at_sector_position(self):
-        sector = Sector(1, 1)
-        basis = enumerate_basis(2, sector)
-        for i, state in enumerate(basis):
-            assert np.array_equal(fock.basis_vector(2, state, sector), np.eye(4)[i])
-
-    def test_state_of_another_length_raises(self):
-        # FockState(1, 1, 2) has the word 0b101, which is a valid L=3 word
-        with pytest.raises(ValueError, match="2 sites in the basis of L=3"):
-            fock.basis_vector(3, FockState(1, 1, 2))
-
-    def test_state_outside_sector_raises(self):
-        with pytest.raises(ValueError, match="not contained"):
-            fock.basis_vector(2, fock.vacuum_state(2), Sector(1, 1))
-        with pytest.raises(ValueError, match="not contained"):
-            fock.basis_vector(2, FockState(0b11, 0b11, 2), Sector(1, 1))
-
-
 class TestApplyMode:
     def test_create_on_vacuum(self):
         sign, new = apply_mode(fock.vacuum_state(2), CREATE, UP, 1)

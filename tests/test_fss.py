@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from chargepair import fss, reference_tables
+from chargepair import bethe, fss, reference_tables
 from chargepair.fss import (
     FssSeries,
     central_charge_estimator,
@@ -69,6 +69,15 @@ class TestSeries:
             scaling_dimension_series(0, [65], 2.0)
         with pytest.raises(ValueError):
             scaling_dimension_series(0, [65, 145], 2.0, assign="middle")
+
+    @pytest.mark.parametrize("sizes", [[145, 65], [225, 65, 145], [65, 65]])
+    def test_sizes_must_strictly_increase(self, monkeypatch, sizes):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a dimension series over unsorted sizes")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            scaling_dimension_series(0, sizes, 2.0)
 
     def test_pair_values_near_printed_table(self):
         series = scaling_dimension_series(0, [65, 145, 225], 3.0)
