@@ -442,15 +442,10 @@ def _continuation_path(u_target: float) -> List[float]:
     return path
 
 
-def energy(
-    roots: BetheRoots, config: BetheConfig, h1: float = 0.0, h2: float = 0.0
-) -> float:
-    """Eigenenergy of the root set; h1, h2 add the chemical-potential terms
-    of the extended model."""
-    n_up, n_down = config.sector.n_up, config.sector.n_down
-    n = n_up + n_down
-    e = -2.0 * float(np.sum(np.cos(roots.k))) + (config.U / 2.0) * (config.L / 2.0 - n)
-    return e + h1 * (n_up - n_down) + h2 * (n - config.L)
+def energy(roots: BetheRoots, config: BetheConfig) -> float:
+    """Eigenenergy of the root set."""
+    n = config.sector.n_up + config.sector.n_down
+    return -2.0 * float(np.sum(np.cos(roots.k))) + (config.U / 2.0) * (config.L / 2.0 - n)
 
 
 @lru_cache(maxsize=4096)

@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, repeat
 from typing import Dict, List, Optional, Sequence
@@ -29,11 +28,7 @@ from .models import ModelParams
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    if isinstance(x, complex):
-        return f"{x.real:.12g}{x.imag:+.12g}j"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _csv_body(rows: List[Dict]) -> str:
@@ -46,27 +41,11 @@ def _csv_body(rows: List[Dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
-
-
 def emit(args, rows: List[Dict], deviations: Optional[List[Dict]] = None) -> None:
     body = _csv_body(rows)
     manifest = {
         "command": args._command_line,
-        "parameters": {k: _json_ready(v) for k, v in vars(args).items()
+        "parameters": {k: v for k, v in vars(args).items()
                        if not k.startswith("_") and k != "func" and v is not None},
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -76,8 +55,8 @@ def emit(args, rows: List[Dict], deviations: Optional[List[Dict]] = None) -> Non
     payload = {
         "manifest": manifest,
         "parameters": manifest["parameters"],
-        "rows": _json_ready(rows),
-        "deviations": _json_ready(deviations or []),
+        "rows": rows,
+        "deviations": deviations or [],
     }
     fmt = args.format
     if args.out:

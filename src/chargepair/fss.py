@@ -45,7 +45,13 @@ class ExtrapolationResult:
 
 
 def central_charge_estimator(L: int, U: float) -> float:
-    """C(L) = (6L / pi xi) [e_inf L - E0(L/2, L/2)]; approaches one."""
+    """C(L) = (6L / pi xi) [e_inf L - E0(L/2, L/2)]; approaches one.
+
+    The formula needs the half-filled ground state of an even ring, so a size
+    outside the even class (L = 2 (mod 4)) raises ``ValueError`` before any
+    solve."""
+    if bethe.parity(L) != bethe.EVEN:
+        raise ValueError(f"the central-charge estimator needs L = 2 (mod 4), got L={L}")
     e0 = bethe.state_energy("ground", L, U)
     e_inf = liebwu.ground_energy_density(U)
     xi = liebwu.spin_velocity(U)
@@ -75,18 +81,12 @@ def eliminate_log_amplitude(
     return bare1 + amp * u1
 
 
-def scaling_dimension_series(
-    j: int,
-    sizes: Sequence[int],
-    U: float,
-    assign: str = "upper",
-) -> FssSeries:
+def scaling_dimension_series(j: int, sizes: Sequence[int], U: float) -> FssSeries:
     """Two-step estimators X_j(L) for the odd-L ground state (j=0) or first
     excitation (j=1).
 
     The log-correction amplitude is eliminated between each pair of
-    consecutive sizes.  ``assign`` places the pair value at the larger
-    ("upper", the documented convention) or smaller ("lower") member.
+    consecutive sizes, and the pair value is placed at the larger size.
     """
     if j not in _DIMENSION_STATES:
         raise ValueError("j must be 0 (ground) or 1 (first excitation)")
@@ -96,8 +96,6 @@ def scaling_dimension_series(
         raise ValueError("sizes must be odd")
     if any(l2 <= l1 for l1, l2 in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    if assign not in ("upper", "lower"):
-        raise ValueError("assign must be 'upper' or 'lower'")
     state = _DIMENSION_STATES[j]
     e_inf = liebwu.ground_energy_density(U)
     xi = liebwu.spin_velocity(U)
@@ -107,7 +105,7 @@ def scaling_dimension_series(
     for i in range(len(sizes) - 1):
         l1, l2 = sizes[i], sizes[i + 1]
         x = eliminate_log_amplitude(bare[i], bare[i + 1], l1, l2, i0)
-        pts.append((l2 if assign == "upper" else l1, x))
+        pts.append((l2, x))
     return FssSeries(tuple(pts))
 
 
@@ -207,18 +205,20 @@ def extrapolate(series: FssSeries, mode: str = "power-law") -> ExtrapolationResu
     power-law: rational extrapolation over a grid of leading exponents; the
     exponent whose limit is most stable under deleting the last row wins, and
     the uncertainty is the spread across that deletion and the runner-up
-    exponent.  log-corrected: least-squares fit a + b/log(L) + c/L.
+    exponent.  log-corrected: least-squares fit a + b/log(L) + c/L.  A value
+    that is not finite raises ``ValueError`` in either mode.
     """
     if len(series.points) < 3:
         raise ValueError("need at least three points to extrapolate")
+    bad = [(L, v) for L, v in series.points if not np.isfinite(v)]
+    if bad:
+        raise ValueError("values must be finite, got "
+                         + ", ".join(f"{v} at L={L}" for L, v in bad))
     if mode == "power-law":
         return _extrapolate_power(series)
     if mode == "log-corrected":
         return _extrapolate_log(series)
     raise ValueError(f"unknown extrapolation mode {mode!r}")
-
-
-_LEADING_TARGET = {0: 0.125, 1: 0.625}
 
 
 def dimension_series_limit(series: FssSeries, U: float) -> ExtrapolationResult:
@@ -234,11 +234,3 @@ def dimension_series_limit(series: FssSeries, U: float) -> ExtrapolationResult:
         lambda x: np.column_stack([np.ones_like(x), 1.0 / np.log(x * i0) ** 2]),
         "inverse-log-squared",
     )
-
-
-def leading_fss_check(j: int, sizes: Sequence[int], U: float) -> float:
-    """Deviation of the extrapolated dimension series from 1/8 (j=0) or
-    5/8 (j=1)."""
-    series = scaling_dimension_series(j, sizes, U)
-    result = dimension_series_limit(series, U)
-    return float(abs(result.limit - _LEADING_TARGET[j]))

@@ -9,8 +9,7 @@ panels sized to the Bessel oscillation scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -34,19 +33,15 @@ def bessel(kind: str, x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panelized Gauss-Legendre plan for the damped Bessel integrals."""
+#: composite Gauss-Legendre plan for the damped Bessel integrals: the widest
+#: panel and the nodes per panel
+_PANEL_WIDTH = np.pi / 2
+_NODES = 24
 
-    upper_cut: Optional[float] = None   # None: place the cut from the damping
-    panel_width: float = np.pi / 2
-    nodes: int = 24
 
-    def cut_for(self, U: float) -> float:
-        if self.upper_cut is not None:
-            return self.upper_cut
-        # exp(-U x / 2) below 1e-17 kills the tail; keep a floor for tiny U
-        return 80.0 / U + 10.0
+def _upper_cut(U: float) -> float:
+    # exp(-U x / 2) below 1e-17 kills the tail; keep a floor for tiny U
+    return 80.0 / U + 10.0
 
 
 def _fermi(x: np.ndarray, U: float) -> np.ndarray:
@@ -55,10 +50,11 @@ def _fermi(x: np.ndarray, U: float) -> np.ndarray:
     return t / (1.0 + t)
 
 
-def _panel_quadrature(f: Callable, upper: float, spec: QuadratureSpec, U: float = 1.0) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(spec.nodes)
+def _panel_quadrature(f: Callable, U: float) -> float:
+    upper = _upper_cut(U)
+    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
     # panels must resolve both the Bessel oscillation and the exp(-Ux/2) decay
-    width = min(spec.panel_width, 8.0 / U)
+    width = min(_PANEL_WIDTH, 8.0 / U)
     n_panels = max(4, int(np.ceil(upper / width)))
     edges = np.linspace(0.0, upper, n_panels + 1)
     half = 0.5 * np.diff(edges)
@@ -68,7 +64,7 @@ def _panel_quadrature(f: Callable, upper: float, spec: QuadratureSpec, U: float 
     return float(np.sum(w * f(x.ravel()).reshape(x.shape)))
 
 
-def _j1_fermi_integral(U: float, spec: QuadratureSpec, weight=lambda x: 1.0) -> float:
+def _j1_fermi_integral(U: float, weight=lambda x: 1.0) -> float:
     """Integral over x >= 0 of weight(x) J1(x) / x / (exp(U x / 2) + 1), for a
     weight with weight(0) = 1."""
 
@@ -81,21 +77,21 @@ def _j1_fermi_integral(U: float, spec: QuadratureSpec, weight=lambda x: 1.0) -> 
         out[~small] = weight(xs) * special.j1(xs) / xs * _fermi(xs, U)
         return out
 
-    return _panel_quadrature(integrand, spec.cut_for(U), spec, U)
+    return _panel_quadrature(integrand, U)
 
 
-def ground_energy_density(U: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def ground_energy_density(U: float) -> float:
     """Half-filled ground-state energy per site in the infinite chain."""
     if U <= 0:
         raise ValueError("coupling U must be positive")
-    return -4.0 * _j1_fermi_integral(U, spec, special.j0) - U / 4.0
+    return -4.0 * _j1_fermi_integral(U, special.j0) - U / 4.0
 
 
-def gap_infinite(U: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def gap_infinite(U: float) -> float:
     """Charge gap of the half-filled chain in the infinite-size limit."""
     if U <= 0:
         raise ValueError("coupling U must be positive")
-    return 4.0 * _j1_fermi_integral(U, spec) + U / 2.0 - 2.0
+    return 4.0 * _j1_fermi_integral(U) + U / 2.0 - 2.0
 
 
 def spin_velocity(U: float) -> float:

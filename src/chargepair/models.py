@@ -299,11 +299,11 @@ def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
     """Spin-chain matrix of the pairing chain: open pair bonds of sign -1,
     on-site zz coupling, and the string-dressed boundary terms.
 
-    The string convention counts occupied modes, matching the Fock kernel's
-    parity bookkeeping, so on this module's qubit layout the result equals
-    the fermionic charge-pair matrix element by element.  A convention whose
-    strings count empty modes differs by a site-parity gauge that flips the
-    bulk bond signs.
+    The strings count occupied modes, matching the Fock kernel's parity
+    bookkeeping, so on this module's qubit layout the result equals the
+    fermionic charge-pair matrix element by element.  Strings that count
+    empty modes instead differ by a site-parity gauge that flips the bulk
+    bond signs.
     """
     if L < 2:
         raise ValueError("needs L >= 2")

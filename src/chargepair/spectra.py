@@ -186,10 +186,3 @@ def reference_state_residual(which: str, L: int, U: float) -> float:
         v = _table1_state(which, L)
         e = -L * U / 4.0 if which == "table1_ferro" else L * U / 4.0
     return float(np.linalg.norm(h @ v - e * v) / np.linalg.norm(v))
-
-
-def translation_expectation(v: np.ndarray, L: int) -> complex:
-    """Diagnostic: expectation of the one-site shift on an eigenvector; its
-    phase exposes the lattice momentum."""
-    t = models.translation_operator(L)
-    return complex(np.vdot(v, t @ v) / np.vdot(v, v))

@@ -137,7 +137,7 @@ def shastry_r(lam1: float, lam2: float, U: float) -> np.ndarray:
     The two-term cosh/sinh combination of null-b blocks at the difference
     and sum arguments, wrapped in the coupling dressing of both auxiliary
     spaces; the wrap is what makes the combination satisfy the Yang-Baxter
-    equation in these conventions (checked against the unique intertwiner
+    equation in this basis (checked against the unique intertwiner
     obtained by a null-space solve).
     """
     h1, h2 = coupling_h(lam1, U), coupling_h(lam2, U)
@@ -227,18 +227,6 @@ def apply_log_derivative(U: float, L: int, v: np.ndarray) -> np.ndarray:
     for _ in range(L - 1):
         v = _sweep([l0] * L, v)
     return sum(_sweep([dl if k == j else l0 for k in range(L)], v) for j in range(L))
-
-
-def transfer_matrix(lam: float, U: float, L: int) -> np.ndarray:
-    """Dense view of :func:`apply_transfer`, for L <= 4."""
-    _check_size(L, 16**L)  # before the identity is allocated
-    return apply_transfer(lam, U, L, np.eye(4**L))
-
-
-def log_derivative_hamiltonian(U: float, L: int) -> np.ndarray:
-    """Dense view of :func:`apply_log_derivative`, for L <= 4."""
-    _check_size(L, 16**L)  # before the identity is allocated
-    return apply_log_derivative(U, L, np.eye(4**L))
 
 
 def spin_chain_constant_fit(U: float, L: int) -> Tuple[float, float]:
@@ -381,47 +369,25 @@ def ybe_residual_graded(p1: CurvePoint, p2: CurvePoint) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _graded_sign_matrix(convention: int) -> np.ndarray:
-    """Diagonal sign factor attached to embedding an operator on the outer
-    spaces (0, 2): its legs cross the middle space.
-
-    Sandwiching the plain embedding between this factor multiplies entry
-    [(i0,i1,i2),(j0,j1,j2)] by (-1)^(p(i1)(p(i2)+p(j2))) for convention 2
-    (middle parity times the crossing legs of the last space) and by
-    (-1)^(p(i1)(p(i0)+p(i2)) + same for j) for convention 1."""
-    par = np.array(PARITIES)
-    sign = np.ones((4, 4, 4))
-    for i0 in range(4):
-        for i1 in range(4):
-            for i2 in range(4):
-                if convention == 1:
-                    sign[i0, i1, i2] = (-1.0) ** (par[i1] * (par[i0] + par[i2]))
-                else:
-                    sign[i0, i1, i2] = (-1.0) ** (par[i1] * par[i2])
-    return np.diag(sign.reshape(-1))
+#: diagonal sign factor of embedding an operator on the outer spaces (0, 2),
+#: whose legs cross the middle space: sandwiching the plain embedding between
+#: it multiplies entry [(i0,i1,i2),(j0,j1,j2)] by (-1)^(p(i1)(p(i2)+p(j2))),
+#: the middle parity times the crossing legs of the last space
+_OUTER_SIGN = np.diag(np.tile((-1.0) ** np.outer(PARITIES, PARITIES).ravel(), 4))
 
 
-#: the sign placement that closes the graded-tensor relation (asserted in tests)
-GRADED_SIGN_CONVENTION = 2
-
-
-def ybe_residual_graded_tensor(
-    p1: CurvePoint, p2: CurvePoint, convention: int = GRADED_SIGN_CONVENTION
-) -> float:
+def ybe_residual_graded_tensor(p1: CurvePoint, p2: CurvePoint) -> float:
     """Residual of R12 L13 L23 = L23 L13 R12 with graded embeddings.
 
     The graded tensor product attaches parity signs when operator legs cross
-    the middle space; of the two standard placements, convention
-    ``GRADED_SIGN_CONVENTION`` is the one that drives the residual to zero
-    and is the recorded choice.
+    the middle space (``_OUTER_SIGN``); with them the residual vanishes.
     """
     r = graded_r(p1, p2)
     l1 = graded_lax(p1)
     l2 = graded_lax(p2)
     r12 = _embed_pair(r, (0, 1))
     l23 = _embed_pair(l2, (1, 2))
-    s = _graded_sign_matrix(convention)
-    l13 = s @ _embed_pair(l1, (0, 2)) @ s
+    l13 = _OUTER_SIGN @ _embed_pair(l1, (0, 2)) @ _OUTER_SIGN
     return float(np.max(np.abs(r12 @ l13 @ l23 - l23 @ l13 @ r12)))
 
 

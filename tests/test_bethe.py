@@ -566,14 +566,6 @@ class TestEnergy:
         roots = BetheRoots(np.array([np.pi / 2]), np.zeros(0), 0.0, 0)
         assert energy(roots, cfg) == pytest.approx(0.0, abs=1e-15)
 
-    def test_chemical_potential_shift_is_linear(self):
-        cfg = BetheConfig(2, 3.0, Sector(2, 0),
-                          (Fraction(1, 2), -Fraction(1, 2)), ())
-        roots = BetheRoots(np.array([np.pi / 2, -np.pi / 2]), np.zeros(0), 0.0, 0)
-        base = energy(roots, cfg)
-        assert energy(roots, cfg, h1=0.3) - base == pytest.approx(0.6)
-        assert energy(roots, cfg, h2=0.5) - base == pytest.approx(0.0)
-
 
 class TestChargeGap:
     def test_even_gap_matches_exact_diagonalization(self):

@@ -249,6 +249,22 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_central_charge_at_odd_size_fails_before_any_solve(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a central charge at an odd size")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(["central-charge", "--L", "65", "--U", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "L=65" in err
+
+    def test_extrapolate_non_finite_value(self, capsys):
+        code = cli.main(["extrapolate", "--sizes", "10,20,30", "--values", "1,0.5,nan"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "nan at L=30" in err
+        assert "Traceback" not in err
+
     def test_spectrum_needs_positive_k(self, capsys):
         code = cli.main(["spectrum", "--model", "charge_pair", "--L", "2", "--U", "2",
                          "--k", "0"])

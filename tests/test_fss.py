@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from chargepair import bethe, fss, reference_tables
+from chargepair import bethe, reference_tables
 from chargepair.fss import (
     FssSeries,
     central_charge_estimator,
@@ -11,6 +11,7 @@ from chargepair.fss import (
     predicted_dimension,
     scaling_dimension_series,
 )
+from helpers import leading_fss_check
 
 
 class TestCentralCharge:
@@ -67,8 +68,6 @@ class TestSeries:
             scaling_dimension_series(0, [64, 144], 2.0)
         with pytest.raises(ValueError):
             scaling_dimension_series(0, [65], 2.0)
-        with pytest.raises(ValueError):
-            scaling_dimension_series(0, [65, 145], 2.0, assign="middle")
 
     @pytest.mark.parametrize("sizes", [[145, 65], [225, 65, 145], [65, 65]])
     def test_sizes_must_strictly_increase(self, monkeypatch, sizes):
@@ -85,12 +84,6 @@ class TestSeries:
         assert [L for L, _ in series.points] == [145, 225]
         for L, value in series.points:
             assert abs(value - ref[L]) < 5e-3
-
-    def test_lower_assignment_convention(self):
-        upper = scaling_dimension_series(0, [65, 145, 225], 3.0, assign="upper")
-        lower = scaling_dimension_series(0, [65, 145, 225], 3.0, assign="lower")
-        assert [L for L, _ in lower.points] == [65, 145]
-        assert np.allclose([v for _, v in upper.points], [v for _, v in lower.points])
 
 
 class TestExtrapolate:
@@ -126,9 +119,16 @@ class TestExtrapolate:
         with pytest.raises(ValueError):
             extrapolate(FssSeries(((10, 1.0), (20, 2.0), (30, 3.0))), "spline")
 
+    @pytest.mark.parametrize("mode", ["power-law", "log-corrected"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_refused(self, mode, bad):
+        series = FssSeries(((10, 1.0), (20, bad), (30, 0.5)))
+        with pytest.raises(ValueError, match=r"finite.*at L=20"):
+            extrapolate(series, mode)
+
 
 def test_leading_fss_check_small_sizes():
-    dev = fss.leading_fss_check(0, [65, 145, 225, 305], 3.0)
+    dev = leading_fss_check(0, [65, 145, 225, 305], 3.0)
     assert dev < 1e-2
 
 
@@ -142,13 +142,6 @@ def test_reference_gap_columns_monotone():
             if not reference_tables.is_suspect("table7", U, L)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_first_size_value_under_lower_assignment():
-    series = scaling_dimension_series(1, [65, 145], 4.0, assign="lower")
-    L, value = series.points[0]
-    assert L == 65
-    assert abs(value - 0.6345026359) < 5e-3
 
 
 def test_extrapolation_tracks_printed_limit_rows():

@@ -4,7 +4,6 @@ from scipy.optimize import brentq
 
 from chargepair import bethe, liebwu
 from chargepair.liebwu import (
-    QuadratureSpec,
     bessel,
     gap_infinite,
     ground_energy_density,
@@ -87,13 +86,16 @@ class TestEnergyDensity:
         assert all(g < 0 for g in gaps)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
-    def test_quadrature_halving_stable(self):
-        fine = QuadratureSpec(panel_width=np.pi / 4, nodes=32, upper_cut=160.0)
-        for U in (0.7, 2.0, 4.0):
-            assert abs(
-                ground_energy_density(U) - ground_energy_density(U, fine)
-            ) < 1e-10
-            assert abs(gap_infinite(U) - gap_infinite(U, fine)) < 1e-10
+    def test_quadrature_halving_stable(self, monkeypatch):
+        couplings = (0.7, 2.0, 4.0)
+        coarse = [(ground_energy_density(U), gap_infinite(U)) for U in couplings]
+        # half the panel width, more nodes per panel and a cut far in the tail
+        monkeypatch.setattr(liebwu, "_PANEL_WIDTH", np.pi / 4)
+        monkeypatch.setattr(liebwu, "_NODES", 32)
+        monkeypatch.setattr(liebwu, "_upper_cut", lambda U: 160.0)
+        for U, (energy, gap) in zip(couplings, coarse):
+            assert abs(energy - ground_energy_density(U)) < 1e-10
+            assert abs(gap - gap_infinite(U)) < 1e-10
 
     def test_positive_coupling_required(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from chargepair.spectra import (
     reference_state_residual,
     spectrum,
 )
+from helpers import translation_expectation
 
 
 def dense(m):
@@ -184,7 +185,7 @@ class TestGroundStateSectors:
     def test_odd_ground_state_has_zero_momentum(self):
         hc = dense(build_model("charge_pair", ModelParams(L=5, U=2.0)))
         w, v = np.linalg.eigh(hc)
-        t = spectra.translation_expectation(v[:, 0] + v[:, 1], 5)
+        t = translation_expectation(v[:, 0] + v[:, 1], 5)
         assert abs(t - 1.0) < 1e-9
 
 

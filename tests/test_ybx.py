@@ -17,12 +17,12 @@ from chargepair.ybx import (
     graded_permutation,
     graded_r,
     shastry_r,
-    transfer_matrix,
     two_site_density_reference,
     ybe_residual_graded,
     ybe_residual_graded_tensor,
     ybe_residual_spin,
 )
+from helpers import log_derivative_hamiltonian, transfer_matrix
 
 
 def maxabs(m):
@@ -172,7 +172,7 @@ class TestTransferMatrix:
             l0, dl = coupled_lax(0.0, U), ybx._lax_derivative(U)
             dt = sum(_trace_product([dl if k == j else l0 for k in range(L)]) for j in range(L))
             ref = dt @ _trace_product([l0] * L).T
-            assert maxabs(ybx.log_derivative_hamiltonian(U, L) - ref) <= 1e-14
+            assert maxabs(log_derivative_hamiltonian(U, L) - ref) <= 1e-14
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_site_major_permutation_state_by_state(self, L):
@@ -199,7 +199,7 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_log_derivative_matches_coupled_chain(self, L):
-        d = ybx.log_derivative_hamiltonian(2.0, L)
+        d = log_derivative_hamiltonian(2.0, L)
         hs = models.build_model("spin_coupled", ModelParams(L=L, U=2.0)).toarray()
         const = np.trace(d - hs).real / d.shape[0]
         assert maxabs(d - hs - const * np.eye(4**L)) < 1e-10
@@ -300,7 +300,11 @@ class TestGradedYangBaxter:
     def test_tensor_form_sign_convention(self):
         pts = ybx.random_curve_points(2.0, 4, seed=3)
         assert ybe_residual_graded_tensor(pts[0], pts[2]) <= 1e-10
-        assert ybe_residual_graded_tensor(pts[0], pts[2], convention=1) > 0.1
+        # without the crossing signs the relation fails
+        r12 = ybx._embed_pair(graded_r(pts[0], pts[2]), (0, 1))
+        l13 = ybx._embed_pair(graded_lax(pts[0]), (0, 2))
+        l23 = ybx._embed_pair(graded_lax(pts[2]), (1, 2))
+        assert maxabs(r12 @ l13 @ l23 - l23 @ l13 @ r12) > 0.1
 
 
 class TestDensityExpansion:
@@ -345,7 +349,7 @@ class TestDensityExpansion:
 def test_transfer_hamiltonian_isospectral_chain():
     # log-derivative Hamiltonian -> coupled chain -> pairing chain (odd L)
     U, L = 2.0, 3
-    d = ybx.log_derivative_hamiltonian(U, L)
+    d = log_derivative_hamiltonian(U, L)
     hs = models.build_model("spin_coupled", ModelParams(L=L, U=U)).toarray()
     const = np.trace(d - hs).real / d.shape[0]
     ev_d = np.sort(np.linalg.eigvalsh((d + d.conj().T) / 2)) - const
