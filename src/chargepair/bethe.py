@@ -53,8 +53,8 @@ class BetheConfig:
     q2: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.U <= 0:
-            raise ValueError("coupling U must be positive")
+        if not (math.isfinite(self.U) and self.U > 0):
+            raise ValueError(f"coupling U must be finite and positive, got U={self.U}")
         n = self.sector.n_up + self.sector.n_down
         if len(self.q1) != n or len(self.q2) != self.sector.n_down:
             raise ValueError("branch-number counts do not match the sector")

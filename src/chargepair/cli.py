@@ -156,6 +156,8 @@ def cmd_extrapolate(args) -> List[Dict]:
 
 
 def cmd_ybe(args) -> List[Dict]:
+    if args.pairs < 1:
+        raise ValueError(f"--pairs needs at least one pair, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     if args.variant == "spin":
         pairs = rng.uniform(0.0, 2.0 * np.pi, size=(args.pairs, 2))

@@ -9,6 +9,7 @@ panels sized to the Bessel oscillation scale.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -80,17 +81,20 @@ def _j1_fermi_integral(U: float, weight=lambda x: 1.0) -> float:
     return _panel_quadrature(integrand, U)
 
 
+def _check_coupling(U: float) -> None:
+    if not (math.isfinite(U) and U > 0):
+        raise ValueError(f"coupling U must be finite and positive, got U={U}")
+
+
 def ground_energy_density(U: float) -> float:
     """Half-filled ground-state energy per site in the infinite chain."""
-    if U <= 0:
-        raise ValueError("coupling U must be positive")
+    _check_coupling(U)
     return -4.0 * _j1_fermi_integral(U, special.j0) - U / 4.0
 
 
 def gap_infinite(U: float) -> float:
     """Charge gap of the half-filled chain in the infinite-size limit."""
-    if U <= 0:
-        raise ValueError("coupling U must be positive")
+    _check_coupling(U)
     return 4.0 * _j1_fermi_integral(U) + U / 2.0 - 2.0
 
 
@@ -99,7 +103,6 @@ def spin_velocity(U: float) -> float:
 
     Uses exponentially scaled Bessel ratios, so small U does not overflow.
     """
-    if U <= 0:
-        raise ValueError("coupling U must be positive")
+    _check_coupling(U)
     z = 2.0 * np.pi / U
     return 2.0 * float(special.i1e(z) / special.i0e(z))

@@ -32,10 +32,8 @@ MODEL_KINDS = (
     "hubbard",
     "charge_pair",
     "charge_pair_transformed",
-    "charge_pair_extended",
     "spin_coupled",
-    "spin_xx_even",
-    "spin_xx_odd",
+    "spin_xx",
     "charge_pair_jw",
 )
 
@@ -55,7 +53,7 @@ GENERATOR_KINDS = (
 @dataclass(frozen=True)
 class ModelParams:
     """Couplings of the model family; fluxes and chemical potentials default
-    to zero and are read only by the extended model."""
+    to zero and are read only by the pairing chain ``charge_pair``."""
 
     L: int
     U: float
@@ -91,7 +89,7 @@ def _hubbard_terms(params: ModelParams) -> List[fock.Term]:
 
 
 def _charge_terms(params: ModelParams, s: float, r: float) -> List[fock.Term]:
-    """s S + r R for the flux-dressed charges S, R of the extended model,
+    """s S + r R for the flux-dressed charges S, R of the pairing chain,
     site by site (a zero weight drops its terms in the kernel)."""
     half_diff = (params.theta_up - params.theta_down) / 2
     half_sum = (params.theta_up + params.theta_down) / 2
@@ -104,7 +102,7 @@ def _charge_terms(params: ModelParams, s: float, r: float) -> List[fock.Term]:
     return terms
 
 
-def _extended_terms(params: ModelParams) -> List[fock.Term]:
+def _charge_pair_terms(params: ModelParams) -> List[fock.Term]:
     """Flux-dressed pair hopping plus interaction plus 2 h1 S + 2 h2 R; at
     zero flux this is the pairing chain."""
     L = params.L
@@ -131,36 +129,33 @@ def build_model(
     L = params.L
     if L < 2:
         raise ValueError("ring models need L >= 2")
-    if kind != "charge_pair_extended" and (
-        params.theta_up or params.theta_down or params.h1 or params.h2
-    ):
+    if kind != "charge_pair" and (params.theta_up or params.theta_down or params.h1 or params.h2):
         raise ValueError(f"model {kind!r} does not accept fluxes or chemical potentials")
-    if kind == "spin_xx_even" and L % 2:
-        raise ValueError("spin_xx_even needs even L")
-    if kind == "spin_xx_odd" and L % 2 == 0:
-        raise ValueError("spin_xx_odd needs odd L")
     if sector is not None and kind != "charge_pair_transformed":
         raise ValueError("sector blocks are available for charge_pair_transformed only")
 
     if kind == "hubbard":
         return fock.assemble_operator(L, _hubbard_terms(params))
-    if kind in ("charge_pair", "charge_pair_extended"):
-        return fock.assemble_operator(L, _extended_terms(params))
+    if kind == "charge_pair":
+        return fock.assemble_operator(L, _charge_pair_terms(params))
     if kind == "charge_pair_transformed":
         # hopping phases exp(+-i pi/2): up and down move with opposite sign
         terms = _hopping_terms(L, 1j, -1j) + _interaction_terms(L, params.U)
         return fock.assemble_operator(L, terms, sector=sector)
-    if kind in _SPIN_CHAIN_BONDS:
-        return _spin_chain(L, params.U, *_SPIN_CHAIN_BONDS[kind])
+    if kind == "spin_coupled":
+        return _spin_chain(L, params.U, _pair_bond, _pair_bond)
+    if kind == "spin_xx":
+        # hops on the open bonds; odd L closes the ring with a pair bond
+        return _spin_chain(L, params.U, _xx_bond, _pair_bond if L % 2 else _xx_bond)
     if kind == "charge_pair_jw":
         return jordan_wigner_image(L, params.U)
     raise AssertionError(kind)
 
 
 def extended_charges(params: ModelParams) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Flux-dressed conserved charges of the extended model.
+    """Flux-dressed conserved charges of the pairing chain.
 
-    Returns (S, R) with the extended Hamiltonian satisfying
+    Returns (S, R) with the ``charge_pair`` Hamiltonian satisfying
     H(theta, h1, h2) = H(theta, 0, 0) + 2 h1 S + 2 h2 R; at zero flux S and R
     reduce to the y spin rotation and x pseudo-spin rotation generators.
     """
@@ -285,16 +280,6 @@ def _spin_chain(L: int, U: float, bond, closing_bond) -> sp.csr_matrix:
     return fock.assemble_operator(L, terms + _interaction_terms(L, U))
 
 
-#: (bond, closing bond) of each spin chain: the pairing-coupled chain has
-#: uniform sigma/tau pair bonds, the XX chains hop, and the odd one closes
-#: the ring with a pair bond
-_SPIN_CHAIN_BONDS = {
-    "spin_coupled": (_pair_bond, _pair_bond),
-    "spin_xx_even": (_xx_bond, _xx_bond),
-    "spin_xx_odd": (_xx_bond, _pair_bond),
-}
-
-
 def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
     """Spin-chain matrix of the pairing chain: open pair bonds of sign -1,
     on-site zz coupling, and the string-dressed boundary terms.
@@ -312,11 +297,9 @@ def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
 
 def sublattice_rotation_check(L: int, U: float) -> float:
     """Residual of conjugating the coupled chain by the even-site spin flips
-    against the XX chain of matching parity."""
-    if L < 2:
-        raise ValueError("needs L >= 2")
-    hs = _spin_chain(L, U, *_SPIN_CHAIN_BONDS["spin_coupled"])
-    target = _spin_chain(L, U, *_SPIN_CHAIN_BONDS["spin_xx_odd" if L % 2 else "spin_xx_even"])
+    against the XX chain, whose closing bond follows from the parity of L."""
+    params = ModelParams(L=L, U=U)
+    hs, target = build_model("spin_coupled", params), build_model("spin_xx", params)
     w = _even_site_flip(L)
     return float(abs(w @ hs @ w.T - target).max())
 

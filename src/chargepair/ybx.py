@@ -13,6 +13,7 @@ as kron(I2, s) and tau operators as kron(t, I2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -36,27 +37,10 @@ def _kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class VertexWeights:
-    """Weights of the symmetric free-fermion eight-vertex Lax operator."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @property
-    def free_fermion_residual(self) -> float:
-        return abs(self.a**2 + self.b**2 - self.c**2 - self.d**2)
-
-    @classmethod
-    def from_spectral(cls, lam: float) -> "VertexWeights":
-        """The null-b family a=1, c=cos(lam), d=sin(lam)."""
-        return cls(1.0, 0.0, float(np.cos(lam)), float(np.sin(lam)))
-
-
 def coupling_h(lam: float, U: float) -> float:
     """Coupling strength from sinh(2h) = (U/4) sin(2 lam), principal branch."""
+    if not math.isfinite(U):
+        raise ValueError(f"coupling U must be finite, got U={U}")
     return 0.5 * float(np.arcsinh(0.25 * U * np.sin(2.0 * lam)))
 
 

@@ -247,14 +247,14 @@ def test_14_density_expansion():
 def test_15_extended_model():
     t0 = time.time()
     p_flux = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7)
-    ev_flux = sorted_spectrum("charge_pair_extended", p_flux)
+    ev_flux = sorted_spectrum("charge_pair", p_flux)
     ev_base = sorted_spectrum("charge_pair", ModelParams(L=3, U=2.0))
     assert maxabs(ev_flux - ev_base) <= 1e-11
 
     h1, h2 = 0.3, 0.2
     p_full = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7, h1=h1, h2=h2)
-    h0 = dense(build_model("charge_pair_extended", p_flux))
-    hh = dense(build_model("charge_pair_extended", p_full))
+    h0 = dense(build_model("charge_pair", p_flux))
+    hh = dense(build_model("charge_pair", p_full))
     s, r = (dense(m) for m in models.extended_charges(p_flux))
 
     # joint (spin, charge) sectors of the two commuting dressed generators

@@ -86,6 +86,11 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError):
             quantum_numbers("first_excitation", 6)
 
+    @pytest.mark.parametrize("U", [np.nan, np.inf, 0.0, -2.0])
+    def test_coupling_must_be_finite_and_positive(self, U):
+        with pytest.raises(ValueError, match=f"finite and positive, got U={U}"):
+            BetheConfig(2, U, Sector(1, 1), (Fraction(1), Fraction(0)), (Fraction(0),))
+
     def test_branch_numbers_strictly_monotone(self):
         with pytest.raises(ValueError, match="monotone"):
             BetheConfig(2, 1.0, Sector(1, 1),

@@ -265,6 +265,21 @@ class TestExitCodes:
         assert "usage error" in err and "nan at L=30" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["bethe", "--state", "ground", "--L", "13", "--U", "nan"],
+                                      ["bethe", "--state", "ground", "--L", "13", "--U", "inf"],
+                                      ["transfer", "--L", "3", "--U", "nan"],
+                                      ["liebwu", "gap", "--U", "nan"],
+                                      ["ybe", "curve", "--U", "inf"]])
+    def test_coupling_that_is_not_finite(self, capsys, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error: coupling U must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_ybe_needs_a_pair(self, capsys, pairs):
+        assert cli.main(["ybe", "spin", "--U", "2", "--pairs", pairs]) == 2
+        assert f"--pairs needs at least one pair, got {pairs}" in capsys.readouterr().err
+
     def test_spectrum_needs_positive_k(self, capsys):
         code = cli.main(["spectrum", "--model", "charge_pair", "--L", "2", "--U", "2",
                          "--k", "0"])

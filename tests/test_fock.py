@@ -157,11 +157,12 @@ BUILDERS = {
     "assemble_operator": lambda: assemble_operator(1, N_UP_1),
     "assemble_operator_sector": lambda: assemble_operator(1, N_UP_1, Sector(1, 0)),
     **{
-        kind: lambda kind=kind: models.build_model(
-            kind, ModelParams(L=3 if kind == "spin_xx_odd" else 2, U=1.0)
-        )
+        kind: lambda kind=kind: models.build_model(kind, ModelParams(L=2, U=1.0))
         for kind in models.MODEL_KINDS
     },
+    "charge_pair_fluxes": lambda: models.build_model(
+        "charge_pair", ModelParams(L=2, U=1.0, theta_up=0.3, theta_down=-0.7, h1=0.2, h2=-0.4)
+    ),
     **{
         kind: lambda kind=kind: models.symmetry_generator(kind, 2)
         for kind in models.GENERATOR_KINDS

@@ -102,6 +102,13 @@ class TestEnergyDensity:
             ground_energy_density(-1.0)
 
 
+@pytest.mark.parametrize("quantity", [gap_infinite, ground_energy_density, spin_velocity])
+@pytest.mark.parametrize("U", [np.nan, np.inf, 0.0, -1.0])
+def test_coupling_must_be_finite_and_positive(quantity, U):
+    with pytest.raises(ValueError, match=f"finite and positive, got U={U}"):
+        quantity(U)
+
+
 class TestSpinVelocity:
     def test_twelve_digit_value(self):
         mpmath = pytest.importorskip("mpmath")

@@ -29,10 +29,9 @@ class TestBuilders:
             ("hubbard", 3),
             ("charge_pair", 3),
             ("charge_pair_transformed", 3),
-            ("charge_pair_extended", 2),
             ("spin_coupled", 3),
-            ("spin_xx_even", 4),
-            ("spin_xx_odd", 3),
+            ("spin_xx", 4),
+            ("spin_xx", 3),
             ("charge_pair_jw", 3),
         ],
     )
@@ -44,12 +43,16 @@ class TestBuilders:
         "kind,params",
         [
             pytest.param(kind, ModelParams(L, U), id=f"{kind}-L{L}-U{U}")
-            for kind in ("hubbard", "charge_pair", "charge_pair_transformed", "charge_pair_extended")
+            for kind in ("hubbard", "charge_pair", "charge_pair_transformed")
             for L in (2, 3, 4)
             for U in (0.7, 1.3)
         ]
-        + [pytest.param("charge_pair_extended", ModelParams(4, 1.3, 0.3, -0.7, 0.2, -0.4),
-                        id="charge_pair_extended-fluxes")],
+        + [
+            pytest.param("charge_pair", ModelParams(L, U, 0.3, -0.7, 0.2, -0.4),
+                         id=f"charge_pair-fluxes-L{L}-U{U}")
+            for L in (2, 3, 4)
+            for U in (0.7, 1.3)
+        ],
     )
     def test_interaction_diagonal_is_exact(self, kind, params):
         # one diagonal term per site: no rounding residue may be stored where
@@ -81,17 +84,12 @@ class TestBuilders:
         dev = maxabs(sorted_spectrum("hubbard", p) - sorted_spectrum("charge_pair", p))
         assert dev > 1e-3
 
-    def test_parity_validation(self):
-        with pytest.raises(ValueError):
-            build_model("spin_xx_even", ModelParams(L=3, U=1.0))
-        with pytest.raises(ValueError):
-            build_model("spin_xx_odd", ModelParams(L=4, U=1.0))
-
-    def test_nonextended_rejects_fluxes(self):
-        with pytest.raises(ValueError):
-            build_model("charge_pair", ModelParams(L=2, U=1.0, theta_up=0.1))
-        with pytest.raises(ValueError):
+    def test_only_charge_pair_accepts_fluxes(self):
+        build_model("charge_pair", ModelParams(L=2, U=1.0, theta_up=0.1, h2=0.3))
+        with pytest.raises(ValueError, match="fluxes"):
             build_model("hubbard", ModelParams(L=2, U=1.0, h1=0.2))
+        with pytest.raises(ValueError, match="fluxes"):
+            build_model("spin_xx", ModelParams(L=3, U=1.0, theta_down=0.1))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -301,7 +299,7 @@ class TestExtendedModel:
         pf = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7)
         dev = maxabs(
             sorted_spectrum("charge_pair", p0)
-            - sorted_spectrum("charge_pair_extended", pf)
+            - sorted_spectrum("charge_pair", pf)
         )
         assert dev < 1e-11
 
@@ -316,8 +314,8 @@ class TestExtendedModel:
     def test_hamiltonian_splits_into_charges(self, U, theta_up, theta_down, h1, h2):
         pf = ModelParams(L=3, U=U, theta_up=theta_up, theta_down=theta_down)
         ph = ModelParams(L=3, U=U, theta_up=theta_up, theta_down=theta_down, h1=h1, h2=h2)
-        h0 = dense(build_model("charge_pair_extended", pf))
-        hh = dense(build_model("charge_pair_extended", ph))
+        h0 = dense(build_model("charge_pair", pf))
+        hh = dense(build_model("charge_pair", ph))
         s, r = models.extended_charges(pf)
         s, r = dense(s), dense(r)
         assert maxabs(hh - h0 - 2 * h1 * s - 2 * h2 * r) < 1e-13

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargepair import fock, models, spectra
+from chargepair import bethe, fock, models, spectra
 from chargepair.fock import Sector
 from chargepair.models import ModelParams, build_model
 from chargepair.spectra import (
@@ -47,6 +47,14 @@ class TestSpectrum:
         full = np.linalg.eigvalsh(h)
         rep = spectrum(sp.csr_matrix(h), k=4)
         assert np.max(np.abs(rep.eigenvalues[:4] - full[:4])) < 1e-8
+
+    def test_iterative_solve_repeats_bit_for_bit(self):
+        # the L = 7 ground block: dimension 1225, so k = 4 takes the Lanczos path
+        sector = bethe.quantum_numbers("ground", 7, 2.0).sector
+        h = build_model("charge_pair_transformed", ModelParams(L=7, U=2.0), sector=sector)
+        first = spectrum(h, k=4).eigenvalues
+        for _ in range(2):
+            assert np.array_equal(spectrum(h, k=4).eigenvalues, first)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_eigenvalue_count_below_one_rejected(self, k):

@@ -7,7 +7,6 @@ from chargepair import fock, models, ybx
 from chargepair.models import ModelParams
 from chargepair.ybx import (
     CurvePoint,
-    VertexWeights,
     coupled_lax,
     coupling_h,
     curve_point,
@@ -17,6 +16,7 @@ from chargepair.ybx import (
     graded_permutation,
     graded_r,
     shastry_r,
+    single_lax,
     two_site_density_reference,
     ybe_residual_graded,
     ybe_residual_graded_tensor,
@@ -31,8 +31,23 @@ def maxabs(m):
 
 class TestWeightsAndCurve:
     def test_null_b_family_satisfies_free_fermion_condition(self):
-        for lam in np.linspace(0, 2 * np.pi, 17):
-            assert VertexWeights.from_spectral(lam).free_fermion_residual <= 1e-14
+        # the block on the family qubits of the two local spaces, spectators
+        # empty, in the basis |00>, |01>, |10>, |11>: the eight-vertex form
+        # [[a, 0, 0, d], [0, b, c, 0], [0, c, b, 0], [d, 0, 0, a]]
+        for family, low in (("sigma", 1), ("tau", 2)):
+            idx = np.array([0, low, 4 * low, 5 * low])
+            for lam in np.linspace(0, 2 * np.pi, 17):
+                block = single_lax(lam, family)[np.ix_(idx, idx)]
+                a, b, c, d = block[0, 0], block[1, 1], block[1, 2], block[0, 3]
+                eight_vertex = np.array([[a, 0, 0, d], [0, b, c, 0], [0, c, b, 0], [d, 0, 0, a]])
+                assert np.array_equal(block, eight_vertex)
+                assert b == 0.0
+                assert abs(a**2 + b**2 - c**2 - d**2) <= 1e-14
+
+    @pytest.mark.parametrize("U", [np.nan, np.inf, -np.inf])
+    def test_coupling_must_be_finite(self, U):
+        with pytest.raises(ValueError, match="coupling U must be finite"):
+            coupling_h(0.3, U)
 
     def test_coupling_examples(self):
         assert coupling_h(0.0, 2.0) == 0.0
