@@ -159,7 +159,11 @@ BUILDERS = {
     **{
         kind: lambda kind=kind: models.build_model(kind, ModelParams(L=2, U=1.0))
         for kind in models.MODEL_KINDS
+        if kind != "spin_xx"
     },
+    # spin_xx closes its ring differently at even and odd L
+    "spin_xx_even": lambda: models.build_model("spin_xx", ModelParams(L=2, U=1.0)),
+    "spin_xx_odd": lambda: models.build_model("spin_xx", ModelParams(L=3, U=1.0)),
     "charge_pair_fluxes": lambda: models.build_model(
         "charge_pair", ModelParams(L=2, U=1.0, theta_up=0.3, theta_down=-0.7, h1=0.2, h2=-0.4)
     ),
