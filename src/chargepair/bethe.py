@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,26 +43,27 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BetheConfig:
-    """A root-class target: lattice, coupling, sector and branch numbers.
-    The ring twist is not an input: it follows from the parity of L."""
+    """A root-class target: lattice, coupling and branch numbers.  Neither
+    the sector nor the ring twist is an input: N_up + N_down = |q1| and
+    N_down = |q2|, and the twist follows from the parity of L."""
 
     L: int
     U: float
-    sector: Sector
     q1: Tuple[Fraction, ...]
     q2: Tuple[Fraction, ...]
 
     def __post_init__(self):
         if not (math.isfinite(self.U) and self.U > 0):
             raise ValueError(f"coupling U must be finite and positive, got U={self.U}")
-        n = self.sector.n_up + self.sector.n_down
-        if len(self.q1) != n or len(self.q2) != self.sector.n_down:
-            raise ValueError("branch-number counts do not match the sector")
         # 2 pi (q + shift) is exact enough to keep the order of q (denominators 1, 2, 4)
         if not all(np.all(d > 0) or np.all(d < 0) for d in map(np.diff, self.targets)):
             raise ValueError("branch numbers must be strictly monotone")
-        if n > self.L or self.sector.n_up < self.sector.n_down:
+        if len(self.q1) > self.L or self.sector.n_up < self.sector.n_down:
             raise ValueError("sector outside the N_up + N_down <= L, N_up >= N_down wedge")
+
+    @property
+    def sector(self) -> Sector:
+        return Sector(len(self.q1) - len(self.q2), len(self.q2))
 
     @property
     def shifts(self) -> Tuple[float, float]:
@@ -80,8 +81,10 @@ class BetheConfig:
 
 @dataclass(frozen=True)
 class BetheRoots:
-    """Solved rapidities, ordered to match the branch numbers of the config."""
+    """A solved state: its config and rapidities, ordered to match the
+    config's branch numbers."""
 
+    config: BetheConfig
     k: np.ndarray
     mu: np.ndarray
     residual_norm: float
@@ -97,12 +100,12 @@ def _frac_seq(start: Fraction, step: int, count: int) -> Tuple[Fraction, ...]:
 def parity(L: int) -> str:
     """Parity class of the size L: ``ODD`` for odd L, ``EVEN`` for L = 2
     (mod 4).  Multiples of four share the spectrum of the plain hopping
-    chain, belong to neither class and raise ``ValueError``."""
-    if L % 2:
-        return ODD
-    if L % 4 == 2:
-        return EVEN
-    raise ValueError(f"even sizes need L = 2 (mod 4), got L={L}")
+    chain, belong to neither class and raise ``ValueError``; so does L < 1."""
+    if L % 4 == 0:
+        raise ValueError(f"even sizes need L = 2 (mod 4), got L={L}")
+    if L < 1:
+        raise ValueError(f"sizes must be at least 1, got L={L}")
+    return ODD if L % 2 else EVEN
 
 
 def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
@@ -116,34 +119,28 @@ def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
         if state == "ground":
             q1 = _frac_seq(Fraction(L, 2), -1, L)
             q2 = _frac_seq(-Fraction(L - 2, 4), 1, L // 2)
-            sector = Sector(L // 2, L // 2)
         elif state == "charge_excitation":
             q1 = _frac_seq(Fraction(L - 1, 2), -1, L - 1)
             q2 = _frac_seq(-Fraction(L - 2, 4), 1, L // 2 - 1)
-            sector = Sector(L // 2, L // 2 - 1)
         elif state == "spin_excitation":
             q1 = _frac_seq(Fraction(L - 1, 2), -1, L)
             q2 = _frac_seq(-Fraction(L - 4, 4), 1, L // 2 - 1)
-            sector = Sector(L // 2 + 1, L // 2 - 1)
         else:
             raise ValueError(f"unsupported even-parity state {state!r}")
-        return BetheConfig(L, U, sector, q1, q2)
+        return BetheConfig(L, U, q1, q2)
 
     if state == "ground":
         q1 = _frac_seq(Fraction(L, 2), -1, L)
         q2 = _frac_seq(-Fraction(L - 1, 4), 1, (L - 1) // 2)
-        sector = Sector((L + 1) // 2, (L - 1) // 2)
     elif state == "first_excitation":
         q1 = _frac_seq(-Fraction(L, 2), 1, L)
         q2 = _frac_seq(Fraction(L - 1, 4), -1, (L - 1) // 2)
-        sector = Sector((L + 1) // 2, (L - 1) // 2)
     elif state == "charge_excitation":
         q1 = _frac_seq(Fraction(L - 2, 2), -1, L - 1)
         q2 = _frac_seq(-Fraction(L - 3, 4), 1, (L - 1) // 2)
-        sector = Sector((L - 1) // 2, (L - 1) // 2)
     else:
         raise ValueError(f"unsupported odd-parity state {state!r}")
-    return BetheConfig(L, U, sector, q1, q2)
+    return BetheConfig(L, U, q1, q2)
 
 
 def _theta(x: np.ndarray, c: float, U: float) -> np.ndarray:
@@ -164,9 +161,9 @@ def _dtheta(x: np.ndarray, c: float, U: float) -> np.ndarray:
     return np.divide(2.0 * c * U, d, out=d)
 
 
-def bethe_residual(roots: BetheRoots, config: BetheConfig) -> np.ndarray:
+def bethe_residual(roots: BetheRoots) -> np.ndarray:
     """Stacked left-minus-right sides of the two logarithmic equation sets."""
-    return _residual(roots.k, roots.mu, config)
+    return _residual(roots.k, roots.mu, roots.config)
 
 
 def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
@@ -320,13 +317,13 @@ _U_START = 20.0
 #: sizes up to this one are solved without a size ladder
 _LADDER_FLOOR = 33
 
-#: the config and roots of a solved state, the start of a solve at the same U
-Seed = Tuple[BetheConfig, BetheRoots]
-
 
 def _extrapolating_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """Piecewise-linear interpolation on the ascending nodes xp, continued
-    linearly beyond both end nodes (``np.interp`` alone would clamp)."""
+    linearly beyond both end nodes (``np.interp`` alone would clamp).  An
+    empty level has nothing to interpolate, whatever the nodes."""
+    if not len(x):
+        return np.zeros(0)
     y = np.interp(x, xp, fp)
     if len(xp) > 1:
         lo, hi = x < xp[0], x > xp[-1]
@@ -335,20 +332,19 @@ def _extrapolating_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.n
     return y
 
 
-def _size_seed(config: BetheConfig, seed: Seed) -> Tuple[np.ndarray, np.ndarray]:
-    """Start for ``config`` from the roots of a solved state at the same U,
-    of any class and size: k is interpolated over (q1 + shift)/L, arctan mu
-    over (q2 + shift)/L."""
-    seed_config, seed_roots = seed
+def _size_seed(config: BetheConfig, seed: BetheRoots) -> Tuple[np.ndarray, np.ndarray]:
+    """Start for ``config`` from a solved state at the same U, of any class
+    and size: k is interpolated over (q1 + shift)/L, arctan mu over
+    (q2 + shift)/L."""
     x1, x2 = (a / (2.0 * np.pi * config.L) for a in config.targets)
-    xp1, xp2 = (a / (2.0 * np.pi * seed_config.L) for a in seed_config.targets)
+    xp1, xp2 = (a / (2.0 * np.pi * seed.config.L) for a in seed.config.targets)
     o1, o2 = np.argsort(xp1), np.argsort(xp2)
-    k = _extrapolating_interp(x1, xp1[o1], seed_roots.k[o1])
-    mu = np.tan(_extrapolating_interp(x2, xp2[o2], np.arctan(seed_roots.mu[o2])))
+    k = _extrapolating_interp(x1, xp1[o1], seed.k[o1])
+    mu = np.tan(_extrapolating_interp(x2, xp2[o2], np.arctan(seed.mu[o2])))
     return k, mu
 
 
-def _starts(config: BetheConfig, seed: Optional[Seed]):
+def _starts(config: BetheConfig, seed: Optional[BetheRoots]):
     """The coupling paths of ``solve`` in the order they are tried, each as
     (start, couplings): one start at the target U (the size seed when a seed
     is given, else the decoupled guess), then, below ``_U_START``, the
@@ -364,12 +360,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got tol={tol}")
 
 
-def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[Seed] = None) -> BetheRoots:
+def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[BetheRoots] = None) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
-    Tries one start at the target U: the ``seed`` when one is given (the
-    config and roots of a solved state at the same U: the same state at
-    another size, or another state at any size), else the decoupled guess.
+    Tries one start at the target U: the ``seed`` when one is given (a
+    solved state at the same U: the same state at another size, or another
+    state at any size), else the decoupled guess.
     If Newton fails from there and U is below ``_U_START``, a continuation
     in decreasing U from the decoupled guess at ``_U_START`` follows.  Every
     path runs a damped Newton iteration (step halving on residual increase)
@@ -403,17 +399,17 @@ def ladder_sizes(L: int) -> List[int]:
     return sizes[::-1]
 
 
-def solve_state(state: str, L: int, U: float, tol: float = 1e-12) -> Seed:
-    """Config and roots of one tabulated state, solved along ``ladder_sizes(L)``
-    with each size seeded by the one below.  A failed size raises its
+def solve_state(state: str, L: int, U: float, tol: float = 1e-12) -> BetheRoots:
+    """One tabulated state, solved along ``ladder_sizes(L)`` with each size
+    seeded by the one below.  A failed size raises its
     ``SolverError``, and no larger size is solved.  A tol that is not finite
     and positive raises ``ValueError`` before any solve, and so does a size
     outside the parity classes."""
     _check_tol(tol)
-    seed = None
+    roots = None
     for config in [quantum_numbers(state, size, U) for size in ladder_sizes(L)]:
-        seed = config, solve(config, tol, seed)
-    return seed
+        roots = solve(config, tol, roots)
+    return roots
 
 
 def _validated_roots(
@@ -428,7 +424,7 @@ def _validated_roots(
                 raise SolverError(
                     f"{name} collapsed or out of branch-number order: "
                     "root class left the real-root branch", residual=res)
-    return BetheRoots(k, mu, res, its)
+    return BetheRoots(config, k, mu, res, its)
 
 
 def _continuation_path(u_target: float) -> List[float]:
@@ -442,10 +438,10 @@ def _continuation_path(u_target: float) -> List[float]:
     return path
 
 
-def energy(roots: BetheRoots, config: BetheConfig) -> float:
+def energy(roots: BetheRoots) -> float:
     """Eigenenergy of the root set."""
-    n = config.sector.n_up + config.sector.n_down
-    return -2.0 * float(np.sum(np.cos(roots.k))) + (config.U / 2.0) * (config.L / 2.0 - n)
+    c = roots.config
+    return -2.0 * float(np.sum(np.cos(roots.k))) + (c.U / 2.0) * (c.L / 2.0 - len(c.q1))
 
 
 @lru_cache(maxsize=4096)
@@ -453,8 +449,7 @@ def state_energy(state: str, L: int, U: float) -> float:
     """Energy of one tabulated state class at (L, U), solved along its size
     ladder; solves are pure, so repeat lookups (the estimator pipelines)
     are cached."""
-    config, roots = solve_state(state, L, U)
-    return energy(roots, config)
+    return energy(solve_state(state, L, U))
 
 
 def charge_gap(L: int, U: float) -> float:
@@ -469,10 +464,9 @@ def charge_gap(L: int, U: float) -> float:
     at L, seeded from the ground roots at L.  Neither energy goes through
     the ``state_energy`` cache.
     """
-    ground_config, ground_roots = solve_state("ground", L, U)
-    config = quantum_numbers("charge_excitation", L, U)
-    roots = solve(config, seed=(ground_config, ground_roots))
-    return energy(roots, config) - energy(ground_roots, ground_config)
+    ground = solve_state("ground", L, U)
+    excitation = solve(quantum_numbers("charge_excitation", L, U), seed=ground)
+    return energy(excitation) - energy(ground)
 
 
 def l2_closed_forms(U: float) -> List[dict]:
@@ -480,7 +474,10 @@ def l2_closed_forms(U: float) -> List[dict]:
 
     The (1,1) upper state is reported through the exponentials e^{ik} solving
     z^2 + (U/2) z + 1 = 0; they are complex of unit modulus for U < 4.
+    A U that is not finite raises ``ValueError``.
     """
+    if not math.isfinite(U):
+        raise ValueError(f"coupling U must be finite, got U={U}")
     disc = complex(U * U - 16.0)
     root = np.sqrt(disc)
     z1 = (-U - root) / 4.0
@@ -531,13 +528,6 @@ def _twisted_heisenberg_solve(
     return lam
 
 
-def heisenberg_twisted_roots(L: int, q2: Sequence[Fraction]) -> np.ndarray:
-    """Real roots of the isotropic two-level limit: the twisted spin chain
-    equation L * 2 atan(2 lam) = 2 pi (q2 + 1/2) + sum 2 atan(lam - lam')."""
-    targets = 2.0 * np.pi * (np.array([float(q) for q in q2]) + 0.5)
-    return _twisted_heisenberg_solve(L, targets)
-
-
 def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
     """Deviation of the rescaled spin rapidities from the twisted-chain roots.
 
@@ -552,17 +542,12 @@ def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
     n = Fraction(n)
     if (2 * n).denominator != 1 or (2 * n).numerator % 2 == 0 or n <= 0:
         raise ValueError("spin imbalance n must be a positive half-odd integer")
-    n_up = Fraction(L, 2) + n
-    if n_up.denominator != 1:
-        raise ValueError("n incompatible with odd L")
-    n_up = int(n_up)
-    n_down = L - n_up
+    n_down = int(Fraction(L, 2) - n)
     if n_down <= 0:
         raise ValueError("sector has no spin rapidities")
-    q1 = _frac_seq(Fraction(L, 2), -1, L)
-    q2 = _frac_seq(-Fraction(L - 1, 4), 1, n_down)
-    config = BetheConfig(L, U, Sector(n_up, n_down), q1, q2)
+    ground = quantum_numbers("ground", L, U)
+    config = replace(ground, q2=ground.q2[:n_down])
     roots = solve(config)
     lam_full = np.sort(2.0 * roots.mu / U)
-    lam_ref = np.sort(heisenberg_twisted_roots(L, q2))
+    lam_ref = np.sort(_twisted_heisenberg_solve(L, config.targets[1]))
     return float(np.max(np.abs(lam_full - lam_ref)))

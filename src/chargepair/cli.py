@@ -80,8 +80,11 @@ def _parse_sizes(text: str) -> List[int]:
 
 
 def _parse_sector(text: str) -> Sector:
-    a, b = text.split(",")
-    return Sector(int(a), int(b))
+    try:
+        a, b = text.split(",")
+        return Sector(int(a), int(b))
+    except ValueError:
+        raise ValueError(f"--sector takes n_up,n_down, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +116,8 @@ def cmd_compare(args) -> List[Dict]:
 
 def cmd_bethe(args) -> List[Dict]:
     tol = 1e-12 if args.tol is None else args.tol
-    config, roots = bethe.solve_state(args.state, args.L, args.U, tol=tol)
-    e = bethe.energy(roots, config)
+    roots = bethe.solve_state(args.state, args.L, args.U, tol=tol)
+    e = bethe.energy(roots)
     rows = [{"quantity": "energy", "index": 0, "value": e},
             {"quantity": "residual_norm", "index": 0, "value": roots.residual_norm},
             {"quantity": "iterations", "index": 0, "value": float(roots.iterations)}]

@@ -27,6 +27,9 @@ class FssSeries:
         sizes = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be strictly increasing")
+        small = [L for L in sizes if L < 2]
+        if small:
+            raise ValueError("sizes must be at least 2, got " + ", ".join(f"L={L}" for L in small))
 
     @property
     def sizes(self) -> np.ndarray:

@@ -19,6 +19,7 @@ element, with the fermionic ones.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -122,13 +123,16 @@ def build_model(
     """Matrix of the requested model on the full chain space.
 
     ``sector`` restricts to a particle-number block and is supported for the
-    transformed model only (the others do not conserve mode numbers).
+    transformed model only (the others do not conserve mode numbers).  A U
+    that is not finite raises ``ValueError``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     L = params.L
     if L < 2:
         raise ValueError("ring models need L >= 2")
+    if not math.isfinite(params.U):
+        raise ValueError(f"coupling U must be finite, got U={params.U}")
     if kind != "charge_pair" and (params.theta_up or params.theta_down or params.h1 or params.h2):
         raise ValueError(f"model {kind!r} does not accept fluxes or chemical potentials")
     if sector is not None and kind != "charge_pair_transformed":

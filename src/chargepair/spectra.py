@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,7 +118,10 @@ class MatchReport:
 
 
 def compare_spectra(a: SpectrumReport, b: SpectrumReport, tol: float) -> MatchReport:
-    """Multiset comparison of two sorted spectra."""
+    """Multiset comparison of two sorted spectra; a tol that is not finite
+    and non-negative raises ``ValueError``."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got tol={tol}")
     if len(a.eigenvalues) != len(b.eigenvalues):
         raise ValueError("spectra have different dimensions")
     dev = float(np.max(np.abs(a.eigenvalues - b.eigenvalues)))

@@ -110,7 +110,7 @@ def test_05_bethe_vs_exact_diagonalization():
     for L in (6, 5):
         U = 2.0
         cfg = bethe.quantum_numbers("ground", L, U)
-        e = bethe.energy(bethe.solve(cfg), cfg)
+        e = bethe.energy(bethe.solve(cfg))
         h = build_model("charge_pair_transformed", ModelParams(L=L, U=U), sector=cfg.sector)
         e0 = np.linalg.eigvalsh(dense(h))[0]
         assert abs(e - e0) <= 1e-10

@@ -80,6 +80,13 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError, match=f"2 \\(mod 4\\), got L={L}$"):
             bethe.parity(L)
 
+    @pytest.mark.parametrize("L", [-1, -2, -3, -6])
+    def test_sizes_below_one_have_no_parity_class(self, L):
+        with pytest.raises(ValueError, match=f"at least 1, got L={L}$"):
+            bethe.parity(L)
+        with pytest.raises(ValueError, match=f"got L={L}$"):
+            quantum_numbers("ground", L)
+
     def test_state_parity_pairing(self):
         with pytest.raises(ValueError):
             quantum_numbers("spin_excitation", 5)
@@ -89,15 +96,13 @@ class TestQuantumNumbers:
     @pytest.mark.parametrize("U", [np.nan, np.inf, 0.0, -2.0])
     def test_coupling_must_be_finite_and_positive(self, U):
         with pytest.raises(ValueError, match=f"finite and positive, got U={U}"):
-            BetheConfig(2, U, Sector(1, 1), (Fraction(1), Fraction(0)), (Fraction(0),))
+            BetheConfig(2, U, (Fraction(1), Fraction(0)), (Fraction(0),))
 
     def test_branch_numbers_strictly_monotone(self):
         with pytest.raises(ValueError, match="monotone"):
-            BetheConfig(2, 1.0, Sector(1, 1),
-                        (Fraction(1), Fraction(1)), (Fraction(0),))
+            BetheConfig(2, 1.0, (Fraction(1), Fraction(1)), (Fraction(0),))
         with pytest.raises(ValueError, match="monotone"):
-            BetheConfig(3, 1.0, Sector(2, 1),
-                        (Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),))
+            BetheConfig(3, 1.0, (Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),))
 
 
     @settings(deadline=None)
@@ -189,7 +194,7 @@ class TestResidual:
     def test_converged_roots_self_consistent(self):
         cfg = quantum_numbers("ground", 6, 2.0)
         roots = solve(cfg)
-        assert np.max(np.abs(bethe_residual(roots, cfg))) <= 1e-12
+        assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
 
     def test_perturbation_scales_with_size(self):
         # leading linear term is L * delta; at strong coupling the arctan
@@ -198,21 +203,21 @@ class TestResidual:
         roots = solve(cfg)
         k = roots.k.copy()
         k[2] += 1e-6
-        res = bethe_residual(BetheRoots(k, roots.mu, 0.0, 0), cfg)
+        res = bethe_residual(BetheRoots(cfg, k, roots.mu, 0.0, 0))
         assert abs(res[2]) == pytest.approx(6 * 1e-6, rel=0.05)
         # at moderate coupling the row residual stays of that order
         cfg = quantum_numbers("ground", 6, 2.0)
         roots = solve(cfg)
         k = roots.k.copy()
         k[2] += 1e-6
-        res = bethe_residual(BetheRoots(k, roots.mu, 0.0, 0), cfg)
+        res = bethe_residual(BetheRoots(cfg, k, roots.mu, 0.0, 0))
         assert 6e-6 <= abs(res[2]) <= 3 * 6e-6
 
     def test_decoupled_guess_residual_shrinks_with_coupling(self):
         def guess_residual(U):
             cfg = quantum_numbers("ground", 6, U)
             k, mu = bethe._initial_guess(cfg)
-            return np.max(np.abs(bethe_residual(BetheRoots(k, mu, 0.0, 0), cfg)))
+            return np.max(np.abs(bethe_residual(BetheRoots(cfg, k, mu, 0.0, 0))))
 
         weak = guess_residual(50.0)
         strong = guess_residual(500.0)
@@ -225,7 +230,7 @@ class TestResidual:
     def test_one_theta1_residual_is_bit_identical(self, state, L):
         cfg = quantum_numbers(state, L, 2.0)
         rng = np.random.default_rng(L)
-        _, roots = solve_state(state, L, 2.0)
+        roots = solve_state(state, L, 2.0)
         points = [(roots.k, roots.mu),
                   (rng.uniform(-np.pi, np.pi, len(cfg.q1)), rng.normal(size=len(cfg.q2)))]
         for k, mu in points:
@@ -246,7 +251,7 @@ class TestResidual:
     def test_in_place_kernels_are_bit_identical(self, state, L, U):
         cfg = quantum_numbers(state, L, U)
         rng = np.random.default_rng(L + 7)
-        _, roots = solve_state(state, L, U)
+        roots = solve_state(state, L, U)
         n, m = len(cfg.q1), len(cfg.q2)
         points = [(roots.k, roots.mu),
                   (rng.uniform(-np.pi, np.pi, n), rng.normal(size=m)),
@@ -304,7 +309,7 @@ class TestJacobian:
 
     def test_vanishing_k_pivot_is_a_singular_jacobian(self):
         # k = pi and mu = 0 at L = 2, U = 4 make L + cos k * theta1'(sin k - mu) = 0
-        cfg = BetheConfig(2, 4.0, Sector(1, 1), (Fraction(1), Fraction(0)), (Fraction(0),))
+        cfg = BetheConfig(2, 4.0, (Fraction(1), Fraction(0)), (Fraction(0),))
         with pytest.raises(SolverError, match="singular") as err:
             bethe._newton(np.array([np.pi, np.pi]), np.zeros(1), cfg, 1e-12, 10)
         assert err.value.residual > 0.0
@@ -354,7 +359,7 @@ class TestSolve:
         roots = solve(cfg)
         assert np.max(np.abs(np.sort(roots.k) - np.array([0.0, np.pi]))) < 1e-12
         assert abs(roots.mu[0]) < 1e-12
-        assert abs(energy(roots, cfg) + 1.5) < 1e-12
+        assert abs(energy(roots) + 1.5) < 1e-12
 
     @pytest.mark.parametrize(
         "L,state",
@@ -365,7 +370,7 @@ class TestSolve:
     def test_energy_matches_exact_diagonalization(self, L, state):
         U = 2.0
         cfg = quantum_numbers(state, L, U)
-        e = energy(solve(cfg), cfg)
+        e = energy(solve(cfg))
         levels = sector_levels(L, U, cfg.sector)
         assert np.min(np.abs(levels - e)) < 1e-10
 
@@ -374,21 +379,21 @@ class TestSolve:
     def test_tabulated_states_are_sector_minima(self, L, state):
         U = 2.0
         cfg = quantum_numbers(state, L, U)
-        e = energy(solve(cfg), cfg)
+        e = energy(solve(cfg))
         assert abs(sector_levels(L, U, cfg.sector)[0] - e) < 1e-10
 
     def test_small_coupling_uses_continuation(self):
         cfg = quantum_numbers("ground", 6, 0.25)
         roots = solve(cfg)
-        assert np.max(np.abs(bethe_residual(roots, cfg))) <= 1e-12
+        assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
 
     def test_twist_follows_from_ring_size(self):
         # the odd-L ground class built by hand, with no twist given: its
         # energy must be the lowest level of the (3, 2) block at L = 5
         q1 = tuple(Fraction(5, 2) - j for j in range(5))
-        cfg = BetheConfig(5, 2.0, Sector(3, 2), q1, (Fraction(-1), Fraction(0)))
+        cfg = BetheConfig(5, 2.0, q1, (Fraction(-1), Fraction(0)))
         assert cfg.shifts == (-0.25, 0.5)
-        e = energy(solve(cfg), cfg)
+        e = energy(solve(cfg))
         assert abs(sector_levels(5, 2.0, Sector(3, 2))[0] - e) < 1e-10
 
     def test_paths_that_fail_raise_the_last_error(self, monkeypatch):
@@ -437,7 +442,7 @@ class TestSolve:
         monkeypatch.setattr(BetheConfig, "__post_init__", counting)
         roots = solve(config, seed=seed)
         assert built == []
-        assert np.max(np.abs(bethe_residual(roots, config))) <= 1e-12
+        assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
 
 
 class TestLadder:
@@ -457,7 +462,7 @@ class TestLadder:
                              + [(s, 145) for s in bethe.STATES_ODD])
     def test_seeded_energy_equals_unseeded(self, monkeypatch, state, L, U):
         config = quantum_numbers(state, L, U)
-        unseeded = energy(solve(config), config)
+        unseeded = energy(solve(config))
         newton = bethe._newton
         at_target = []
 
@@ -467,11 +472,11 @@ class TestLadder:
             return newton(k, mu, cfg, tol)
 
         monkeypatch.setattr(bethe, "_newton", spy)
-        seeded_config, roots = solve_state(state, L, U)
-        assert seeded_config == config
+        roots = solve_state(state, L, U)
+        assert roots.config == config
         # the size seed converged: the target size ran one Newton solve
         assert at_target == [U]
-        assert abs(energy(roots, config) - unseeded) <= 1e-12
+        assert abs(energy(roots) - unseeded) <= 1e-12
 
     def test_stalled_size_seed_falls_back_to_continuation(self, monkeypatch):
         config = quantum_numbers("ground", 65, 2.0)
@@ -495,8 +500,8 @@ class TestLadder:
         guess_k, guess_mu = bethe._initial_guess(replace(config, U=20.0))
         assert np.array_equal(starts[1][0], guess_k) and np.array_equal(starts[1][1], guess_mu)
         assert starts[1][2] == 20.0
-        assert np.max(np.abs(bethe_residual(roots, config))) <= 1e-12
-        assert abs(energy(roots, config) - energy(unseeded, config)) <= 1e-12
+        assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
+        assert abs(energy(roots) - energy(unseeded)) <= 1e-12
 
     def test_stalled_seed_costs_one_newton_run(self, monkeypatch):
         # at U = 0.5 the size seed stalls at L = 302; continuation from U = 20
@@ -510,18 +515,18 @@ class TestLadder:
             return newton(k, mu, cfg, tol)
 
         monkeypatch.setattr(bethe, "_newton", spy)
-        config, roots = solve_state("ground", 302, 0.5)
+        roots = solve_state("ground", 302, 0.5)
         at_size = [u for size, u in runs if size == 302]
         before_continuation = at_size[:at_size.index(20.0)] if 20.0 in at_size else at_size
         assert before_continuation.count(0.5) <= 1
-        assert abs(energy(roots, config) - -385.79099058585325) <= 1e-12
+        assert abs(energy(roots) - -385.79099058585325) <= 1e-12
 
     def test_failed_size_raises_and_stops_the_ladder(self, monkeypatch):
         original = bethe.solve
         calls = []
 
         def fail_at_115(config, tol=1e-12, seed=None):
-            calls.append((config.L, seed[0].L if seed else None))
+            calls.append((config.L, seed.config.L if seed else None))
             if config.L == 115:
                 raise SolverError("stalled at 115", residual=1.0)
             return original(config, tol, seed)
@@ -554,22 +559,22 @@ class TestLadder:
             return original(config, tol, seed)
 
         monkeypatch.setattr(bethe, "solve", spy)
-        config, roots = solve_state("charge_excitation", 33, 2.0)
+        roots = solve_state("charge_excitation", 33, 2.0)
         assert calls == [(33, None)]
-        direct = original(config)
+        direct = original(roots.config)
         assert np.array_equal(roots.k, direct.k) and np.array_equal(roots.mu, direct.mu)
 
 
 class TestEnergy:
     def test_empty_sector(self):
-        cfg = BetheConfig(2, 3.0, Sector(0, 0), (), ())
-        roots = BetheRoots(np.zeros(0), np.zeros(0), 0.0, 0)
-        assert energy(roots, cfg) == pytest.approx(1.5)
+        cfg = BetheConfig(2, 3.0, (), ())
+        roots = BetheRoots(cfg, np.zeros(0), np.zeros(0), 0.0, 0)
+        assert energy(roots) == pytest.approx(1.5)
 
     def test_single_particle(self):
-        cfg = BetheConfig(2, 3.0, Sector(1, 0), (Fraction(1, 2),), ())
-        roots = BetheRoots(np.array([np.pi / 2]), np.zeros(0), 0.0, 0)
-        assert energy(roots, cfg) == pytest.approx(0.0, abs=1e-15)
+        cfg = BetheConfig(2, 3.0, (Fraction(1, 2),), ())
+        roots = BetheRoots(cfg, np.array([np.pi / 2]), np.zeros(0), 0.0, 0)
+        assert energy(roots) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestChargeGap:
@@ -609,7 +614,7 @@ class TestChargeGap:
         assert all(c == quantum_numbers("ground", c.L, 2.0) for c, _ in calls[:-1])
         excitation, seed = calls[-1]
         assert excitation == quantum_numbers("charge_excitation", L, 2.0)
-        assert seed[0] == quantum_numbers("ground", L, 2.0)
+        assert seed.config == quantum_numbers("ground", L, 2.0)
 
     @pytest.mark.parametrize("U", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("L,parity", [(6, "even"), (142, "even"), (5, "odd"), (145, "odd")])
@@ -634,6 +639,12 @@ class TestChargeGap:
         assert err.value.residual == 3.0
         assert cli.main(["gap", "--L", "62", "--U", "2"]) == 1
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("U", [0.5, 2.0, 7.0])
+    def test_one_site_gap_is_half_the_coupling(self, U):
+        # the L = 1 excitation is the empty state, seeded from a ground state
+        # with no rapidities: neither level has anything to interpolate
+        assert abs(charge_gap(1, U) - U / 2.0) <= 1e-15
 
     def test_parity_preconditions(self):
         with pytest.raises(ValueError, match="2 \\(mod 4\\)"):
@@ -665,6 +676,11 @@ class TestClosedForms:
         z1, z2 = l2_closed_forms(2.0)[3]["exp_ik"]
         assert abs(abs(z1) - 1.0) < 1e-12 and abs(abs(z2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("U", [np.nan, np.inf, -np.inf])
+    def test_coupling_must_be_finite(self, U):
+        with pytest.raises(ValueError, match=f"finite, got U={U}$"):
+            l2_closed_forms(U)
+
     def test_rows_are_transformed_sector_levels(self):
         for U in (1.0, 2.5, 6.0):
             for row in l2_closed_forms(U):
@@ -680,6 +696,25 @@ class TestStrongCoupling:
         # the symmetric momentum set cancels the linear term, so the decay
         # is at least 1/U (observed close to 1/U^2)
         assert d400 < 0.6 * d200
+
+    def test_spin_imbalance_keeps_the_first_ground_rapidities(self, monkeypatch):
+        # n = 3/2 at L = 7: the (5, 2) sector, whose q2 are the first two of
+        # the three ground branch numbers
+        original = bethe.solve
+        solved = []
+
+        def spy(config, tol=1e-12, seed=None):
+            solved.append(config)
+            return original(config, tol, seed)
+
+        monkeypatch.setattr(bethe, "solve", spy)
+        d100 = bethe.strong_coupling_check(7, Fraction(3, 2), 100.0)
+        d200 = bethe.strong_coupling_check(7, Fraction(3, 2), 200.0)
+        ground = quantum_numbers("ground", 7, 200.0)
+        assert solved[-1].sector == Sector(5, 2)
+        assert solved[-1].q1 == ground.q1 and solved[-1].q2 == ground.q2[:2]
+        assert d200 < 5e-2
+        assert d200 < 0.6 * d100
 
     def test_rescaling_preserves_symmetric_configuration(self):
         U = 200.0

@@ -275,6 +275,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error: coupling U must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["spectrum", "--model", "spin_xx", "--L", "3", "--U", "nan"],
+                                      ["compare", "--model-a", "hubbard", "--model-b",
+                                       "charge_pair", "--L", "3", "--U", "inf"],
+                                      ["reproduce", "table2", "--U", "nan"]])
+    def test_model_coupling_that_is_not_finite(self, capsys, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error: coupling U must be finite, got U=" in err
+
+    @pytest.mark.parametrize("argv", [["bethe", "--state", "ground", "--L", "-1", "--U", "2"],
+                                      ["gap", "--L", "-3", "--U", "2"],
+                                      ["central-charge", "--L", "-2", "--U", "2"]])
+    def test_size_below_one_fails_before_any_solve(self, monkeypatch, capsys, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved at a size below one")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(argv) == 2
+        L = argv[argv.index("--L") + 1]
+        assert f"usage error: sizes must be at least 1, got L={L}" in capsys.readouterr().err
+
+    def test_one_site_gap(self, capsys):
+        assert cli.main(["gap", "--L", "1", "--U", "2"]) == 0
+        assert capsys.readouterr().out == "L,U,parity,gap\n1,2,odd,1\n"
+        assert cli.main(["reproduce", "table7", "--U", "2", "--sizes", "1"]) == 0
+        assert capsys.readouterr().out == "table,U,L,computed,reference\ntable7,2,1,1,nan\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_compare_tolerance_must_be_finite_and_non_negative(self, capsys, tol):
+        code = cli.main(["compare", "--model-a", "hubbard", "--model-b", "charge_pair",
+                         "--L", "3", "--U", "2", "--tol", tol])
+        assert code == 2
+        assert f"finite and non-negative, got tol={float(tol)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sector", ["1", "1,2,3", "a,b"])
+    def test_sector_needs_two_counts(self, capsys, sector):
+        code = cli.main(["spectrum", "--model", "charge_pair_transformed", "--L", "3",
+                         "--U", "2", "--sector", sector])
+        assert code == 2
+        assert f"--sector takes n_up,n_down, got '{sector}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [(["--sizes", "0,1,2"], "L=0, L=1"),
+                                            (["--sizes", "1,2,3", "--mode", "log-corrected"],
+                                             "L=1")])
+    def test_extrapolate_sizes_below_two(self, capfd, argv, named):
+        assert cli.main(["extrapolate", "--values", "1,2,3"] + argv) == 2
+        err = capfd.readouterr().err
+        assert f"usage error: sizes must be at least 2, got {named}" in err
+        assert "Traceback" not in err and "DLASCL" not in err
+
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_ybe_needs_a_pair(self, capsys, pairs):
         assert cli.main(["ybe", "spin", "--U", "2", "--pairs", pairs]) == 2

@@ -61,6 +61,12 @@ class TestSeries:
         with pytest.raises(ValueError):
             FssSeries(((62, 1.0), (62, 2.0)))
 
+    @pytest.mark.parametrize("sizes,named", [((0, 1, 2), "L=0, L=1"), ((1, 2, 3), "L=1"),
+                                             ((-5, 10, 20), "L=-5")])
+    def test_sizes_below_two_rejected(self, sizes, named):
+        with pytest.raises(ValueError, match=f"at least 2, got {named}$"):
+            FssSeries(tuple((L, 1.0) for L in sizes))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             scaling_dimension_series(2, [65, 145], 2.0)

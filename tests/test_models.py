@@ -91,6 +91,12 @@ class TestBuilders:
         with pytest.raises(ValueError, match="fluxes"):
             build_model("spin_xx", ModelParams(L=3, U=1.0, theta_down=0.1))
 
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    @pytest.mark.parametrize("U", [np.nan, np.inf, -np.inf])
+    def test_coupling_must_be_finite(self, kind, U):
+        with pytest.raises(ValueError, match=f"finite, got U={U}$"):
+            build_model(kind, ModelParams(L=3, U=U))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_model("xyz", ModelParams(L=2, U=1.0))

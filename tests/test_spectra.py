@@ -124,6 +124,13 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_spectra(a, b, 1e-10)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        a = spectrum(np.eye(4))
+        with pytest.raises(ValueError, match=f"non-negative, got tol={tol}$"):
+            compare_spectra(a, a, tol)
+        assert compare_spectra(a, a, 0.0).match
+
 
 class TestCommutators:
     def test_surviving_charge(self):
