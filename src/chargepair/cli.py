@@ -105,6 +105,7 @@ def cmd_spectrum(args) -> List[Dict]:
 
 
 def cmd_compare(args) -> List[Dict]:
+    spectra.check_tolerance(args.tol)
     params = ModelParams(L=args.L, U=args.U)
     ra = spectra.spectrum(models.build_model(args.model_a, params))
     rb = spectra.spectrum(models.build_model(args.model_b, params))
@@ -216,10 +217,10 @@ def cmd_reproduce(args) -> tuple:
     us = [args.U] if args.U is not None else sorted(ref)
     default_sizes = sorted(next(iter(ref.values())).keys())
     sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
-    table_class = bethe.parity(default_sizes[0])
     for L in sizes:
-        if bethe.parity(L) != table_class:
-            raise ValueError(f"{table} holds {table_class} sizes, got L={L}")
+        if L not in default_sizes:
+            raise ValueError(f"{table} has no size L={L}; its sizes are "
+                             + ", ".join(map(str, default_sizes)))
 
     jobs = min(args.jobs, len(us))
     if jobs > 1:
@@ -230,12 +231,11 @@ def cmd_reproduce(args) -> tuple:
     rows, deviations = [], []
     for u, column in zip(us, columns):
         for L, value in column.items():
-            reference = ref[u].get(L)
+            reference = ref[u][L]
             rows.append({"table": table, "U": u, "L": L, "computed": value,
-                         "reference": reference if reference is not None else float("nan")})
-            if reference is not None:
-                deviations.append(_deviation_row(table, u, L, value, reference,
-                                                 args.include_suspect))
+                         "reference": reference})
+            deviations.append(_deviation_row(table, u, L, value, reference,
+                                             args.include_suspect))
     return rows, deviations
 
 

@@ -27,7 +27,6 @@ the canonical words, signs included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,42 +56,6 @@ class Sector:
     def validate(self, L: int) -> None:
         if not (0 <= self.n_up <= L and 0 <= self.n_down <= L):
             raise ValueError(f"sector {self} out of range for L={L}")
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Occupation configuration of the 2L modes of an L-site chain."""
-
-    up_bits: int
-    down_bits: int
-    L: int
-
-    def __post_init__(self):
-        mask = (1 << self.L) - 1
-        if self.up_bits & ~mask or self.down_bits & ~mask:
-            raise ValueError("occupation bits beyond site count")
-
-    @property
-    def word(self) -> int:
-        return self.up_bits | (self.down_bits << self.L)
-
-    @property
-    def n_up(self) -> int:
-        return self.up_bits.bit_count()
-
-    @property
-    def n_down(self) -> int:
-        return self.down_bits.bit_count()
-
-    @classmethod
-    def from_word(cls, word: int, L: int) -> "FockState":
-        mask = (1 << L) - 1
-        return cls(word & mask, word >> L, L)
-
-    def __repr__(self):
-        up = format(self.up_bits, f"0{self.L}b")
-        down = format(self.down_bits, f"0{self.L}b")
-        return f"FockState(up={up}, down={down})"
 
 
 def mode_index(L: int, spin: str, site: int) -> int:
@@ -159,32 +122,17 @@ def _site_major_sign(L: int) -> np.ndarray:
     return 1 - 2 * odd
 
 
-def enumerate_basis(L: int, sector: Optional[Sector] = None) -> list[FockState]:
-    """All basis states of the chain, in increasing encoded-word order.
-
-    Without a sector the full 4**L states are returned; with one, the
-    C(L, n_up) * C(L, n_down) states of that particle-number block.
-    """
-    return [FockState.from_word(int(w), L) for w in _basis_words(L, sector)]
-
-
-def sector_dimension(L: int, sector: Optional[Sector]) -> int:
-    if sector is None:
-        return 4**L
-    return comb(L, sector.n_up) * comb(L, sector.n_down)
-
-
 def apply_mode(
-    state: FockState, kind: str, spin: str, site: int
-) -> Optional[Tuple[int, FockState]]:
-    """Apply one creation/annihilation operator to a basis state.
+    L: int, word: int, kind: str, spin: str, site: int
+) -> Optional[Tuple[int, int]]:
+    """Apply one creation/annihilation operator to the basis word of an
+    L-site chain.
 
-    Returns ``None`` when Pauli-blocked, else ``(sign, new_state)`` where the
+    Returns ``None`` when Pauli-blocked, else ``(sign, new_word)`` where the
     sign is the parity of the occupied modes preceding the target in
     canonical order.
     """
-    m = mode_index(state.L, spin, site)
-    word = state.word
+    m = mode_index(L, spin, site)
     occupied = (word >> m) & 1
     if kind == CREATE:
         if occupied:
@@ -195,7 +143,7 @@ def apply_mode(
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     sign = -1 if (word & ((1 << m) - 1)).bit_count() & 1 else 1
-    return sign, FockState.from_word(word ^ (1 << m), state.L)
+    return sign, word ^ (1 << m)
 
 
 def assemble_operator(
@@ -262,7 +210,3 @@ def assemble_operator(
     # pattern is the nonzero pattern (spectra splits blocks along it)
     mat.eliminate_zeros()
     return mat
-
-
-def vacuum_state(L: int) -> FockState:
-    return FockState(0, 0, L)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from scipy import special
 
 from . import bethe, liebwu
 
@@ -102,7 +103,7 @@ def scaling_dimension_series(j: int, sizes: Sequence[int], U: float) -> FssSerie
     state = _DIMENSION_STATES[j]
     e_inf = liebwu.ground_energy_density(U)
     xi = liebwu.spin_velocity(U)
-    i0 = liebwu.bessel("I0", 2.0 * np.pi / U)
+    i0 = special.i0(2.0 * np.pi / U)
     bare = [_bare_dimension(state, L, U, e_inf, xi) for L in sizes]
     pts = []
     for i in range(len(sizes) - 1):
@@ -228,7 +229,7 @@ def dimension_series_limit(series: FssSeries, U: float) -> ExtrapolationResult:
     at 1/log^2; the limit is the least-squares fit of
     a + b / log(L I0(2 pi / U))^2.
     """
-    i0 = liebwu.bessel("I0", 2.0 * np.pi / U)
+    i0 = special.i0(2.0 * np.pi / U)
     return _lstsq_limit(
         series,
         lambda x: np.column_stack([np.ones_like(x), 1.0 / np.log(x * i0) ** 2]),

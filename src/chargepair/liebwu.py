@@ -15,25 +15,6 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-_BESSEL = {
-    "J0": special.j0,
-    "J1": special.j1,
-    "I0": special.i0,
-    "I1": special.i1,
-}
-
-
-def bessel(kind: str, x) -> float:
-    """Bessel J0, J1 or modified I0, I1 at x >= 0."""
-    if kind not in _BESSEL:
-        raise ValueError(f"unknown Bessel kind {kind!r}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise ValueError("argument must be finite and non-negative")
-    out = _BESSEL[kind](x)
-    return float(out) if out.ndim == 0 else out
-
-
 #: composite Gauss-Legendre plan for the damped Bessel integrals: the widest
 #: panel and the nodes per panel
 _PANEL_WIDTH = np.pi / 2

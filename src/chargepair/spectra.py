@@ -117,11 +117,16 @@ class MatchReport:
     tol: float
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless tol is finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got tol={tol}")
+
+
 def compare_spectra(a: SpectrumReport, b: SpectrumReport, tol: float) -> MatchReport:
     """Multiset comparison of two sorted spectra; a tol that is not finite
     and non-negative raises ``ValueError``."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and non-negative, got tol={tol}")
+    check_tolerance(tol)
     if len(a.eigenvalues) != len(b.eigenvalues):
         raise ValueError("spectra have different dimensions")
     dev = float(np.max(np.abs(a.eigenvalues - b.eigenvalues)))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chargepair import bethe, cli
+from chargepair import bethe, cli, models
 
 
 def run(argv, tmp_path, name="run", fmt="both"):
@@ -299,11 +299,16 @@ class TestExitCodes:
     def test_one_site_gap(self, capsys):
         assert cli.main(["gap", "--L", "1", "--U", "2"]) == 0
         assert capsys.readouterr().out == "L,U,parity,gap\n1,2,odd,1\n"
-        assert cli.main(["reproduce", "table7", "--U", "2", "--sizes", "1"]) == 0
-        assert capsys.readouterr().out == "table,U,L,computed,reference\ntable7,2,1,1,nan\n"
+        # table 7 holds no one-site row, so there is no reference to print
+        assert cli.main(["reproduce", "table7", "--U", "2", "--sizes", "1"]) == 2
+        assert "table7 has no size L=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_compare_tolerance_must_be_finite_and_non_negative(self, capsys, tol):
+    def test_compare_tolerance_must_be_finite_and_non_negative(self, monkeypatch, capsys, tol):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a model before checking the tolerance")
+
+        monkeypatch.setattr(models, "build_model", no_build)
         code = cli.main(["compare", "--model-a", "hubbard", "--model-b", "charge_pair",
                          "--L", "3", "--U", "2", "--tol", tol])
         assert code == 2
@@ -347,7 +352,8 @@ class TestExitCodes:
         assert "usage error" in err and "U=5" in err and "2, 3, 4" in err
 
     @pytest.mark.parametrize("table,sizes", [("table4", "222,302,64"), ("table5", "62,65"),
-                                             ("table7", "65,62"), ("table9", "65,145,224")])
+                                             ("table7", "65,62"), ("table9", "65,145,224"),
+                                             ("table7", "1"), ("table4", "6")])
     def test_size_outside_the_class_fails_before_any_solve(self, monkeypatch, capsys,
                                                            table, sizes):
         def no_solve(*args, **kwargs):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,11 +15,10 @@ from chargepair.fock import (
     RAISE,
     UP,
     Z,
-    FockState,
     Sector,
+    _basis_words,
     apply_mode,
     assemble_operator,
-    enumerate_basis,
 )
 from chargepair.models import ModelParams
 
@@ -28,54 +29,50 @@ def op(kind, spin, site):
 
 class TestEnumeration:
     def test_single_site_has_four_states(self):
-        states = enumerate_basis(1)
-        assert len(states) == 4
-        assert [s.word for s in states] == [0, 1, 2, 3]
+        assert _basis_words(1).tolist() == [0, 1, 2, 3]
 
     def test_sector_counts(self):
-        states = enumerate_basis(2, Sector(1, 1))
-        assert len(states) == 4
-        assert all(s.n_up == 1 and s.n_down == 1 for s in states)
+        words = _basis_words(2, Sector(1, 1)).tolist()
+        assert len(words) == 4
+        assert all((w & 0b11).bit_count() == 1 and (w >> 2).bit_count() == 1 for w in words)
 
     def test_full_enumeration_is_lexicographic(self):
-        words = [s.word for s in enumerate_basis(3)]
-        assert words == list(range(64))
+        assert _basis_words(3).tolist() == list(range(64))
 
     @pytest.mark.parametrize("L", [0, 13])
     def test_site_count_range(self, L):
         with pytest.raises(ValueError):
-            enumerate_basis(L)
+            _basis_words(L)
 
-    def test_sector_dimension_formula(self):
-        assert fock.sector_dimension(4, Sector(2, 1)) == 6 * 4
-        assert fock.sector_dimension(3, None) == 64
+    def test_sector_size_formula(self):
+        for n_up in range(5):
+            for n_down in range(5):
+                words = _basis_words(4, Sector(n_up, n_down))
+                assert len(words) == comb(4, n_up) * comb(4, n_down)
+        assert len(_basis_words(3)) == 64
 
 
 class TestApplyMode:
     def test_create_on_vacuum(self):
-        sign, new = apply_mode(fock.vacuum_state(2), CREATE, UP, 1)
-        assert sign == 1
-        assert new.up_bits == 0b01 and new.down_bits == 0
+        assert apply_mode(2, 0, CREATE, UP, 1) == (1, 0b01)
 
     def test_pauli_blocking(self):
-        occupied = FockState(0b01, 0, 2)
-        assert apply_mode(occupied, CREATE, UP, 1) is None
-        assert apply_mode(fock.vacuum_state(2), ANNIHILATE, UP, 1) is None
+        assert apply_mode(2, 0b01, CREATE, UP, 1) is None
+        assert apply_mode(2, 0, ANNIHILATE, UP, 1) is None
 
     def test_order_antisymmetry(self):
-        vac = fock.vacuum_state(2)
-        s1, a = apply_mode(vac, CREATE, UP, 2)
-        s2, a = apply_mode(a, CREATE, UP, 1)
-        t1, b = apply_mode(vac, CREATE, UP, 1)
-        t2, b = apply_mode(b, CREATE, UP, 2)
-        assert a.word == b.word
+        s1, a = apply_mode(2, 0, CREATE, UP, 2)
+        s2, a = apply_mode(2, a, CREATE, UP, 1)
+        t1, b = apply_mode(2, 0, CREATE, UP, 1)
+        t2, b = apply_mode(2, b, CREATE, UP, 2)
+        assert a == b
         assert s1 * s2 == -t1 * t2
 
     def test_annihilate_undoes_create(self):
-        state = FockState(0b0101, 0b0011, 4)
-        s1, mid = apply_mode(state, CREATE, DOWN, 3)
-        s2, back = apply_mode(mid, ANNIHILATE, DOWN, 3)
-        assert back.word == state.word
+        word = 0b0101 | 0b0011 << 4
+        s1, mid = apply_mode(4, word, CREATE, DOWN, 3)
+        s2, back = apply_mode(4, mid, ANNIHILATE, DOWN, 3)
+        assert back == word
         assert s1 * s2 == 1
 
 
@@ -92,9 +89,7 @@ class TestAssemble:
         )
         # one entry per spectator down configuration, all with the same sign
         for down_bits in range(4):
-            col = fock.FockState(0b11, down_bits, 2).word
-            row = fock.FockState(0, down_bits, 2).word
-            assert mat[row, col] == -1.0
+            assert mat[down_bits << 2, 0b11 | down_bits << 2] == -1.0
         assert mat.nnz == 4
 
     def test_hermitian_combination(self):
@@ -230,23 +225,23 @@ def single_terms(draw):
 
 
 def folded_columns(L, sector, coeff, factors):
-    """Matrix whose columns fold apply_mode over each basis state, rightmost
-    factor first; None when some state is sent outside the sector."""
-    basis = enumerate_basis(L, sector)
-    row_of = {s.word: i for i, s in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, state in enumerate(basis):
+    """Matrix whose columns fold apply_mode over each basis word, rightmost
+    factor first; None when some word is sent outside the sector."""
+    words = _basis_words(L, sector).tolist()
+    row_of = {w: i for i, w in enumerate(words)}
+    mat = np.zeros((len(words), len(words)), dtype=complex)
+    for col, word in enumerate(words):
         sign = 1
         for factor in reversed(factors):
-            res = apply_mode(state, *factor)
+            res = apply_mode(L, word, *factor)
             if res is None:
                 break
-            step, state = res
+            step, word = res
             sign *= step
         else:
-            if state.word not in row_of:
+            if word not in row_of:
                 return None
-            mat[row_of[state.word], col] = sign * coeff
+            mat[row_of[word], col] = sign * coeff
     return mat
 
 
@@ -256,7 +251,7 @@ def test_assembly_matches_folded_apply_mode(case):
     L, sector, coeff, factors = case
     expected = folded_columns(L, sector, coeff, factors)
     if coeff == 0:
-        expected = np.zeros((fock.sector_dimension(L, sector),) * 2)
+        expected = np.zeros((len(_basis_words(L, sector)),) * 2)
     if expected is None:
         with pytest.raises(ValueError, match="leaves sector"):
             assemble_operator(L, [(coeff, factors)], sector=sector)
@@ -272,14 +267,13 @@ def test_site_major_sign_matches_folded_apply_mode(case):
     # create the occupied modes of the word in site-major order, (up, 1)
     # leftmost, onto the vacuum: the result is sign * (canonical state)
     L, word = case
-    target = FockState.from_word(word, L)
-    state, sign = fock.vacuum_state(L), 1
+    state, sign = 0, 1
     for site in range(L, 0, -1):
-        for spin, bits in ((DOWN, target.down_bits), (UP, target.up_bits)):
-            if bits >> (site - 1) & 1:
-                step, state = apply_mode(state, CREATE, spin, site)
+        for spin in (DOWN, UP):
+            if word >> fock.mode_index(L, spin, site) & 1:
+                step, state = apply_mode(L, state, CREATE, spin, site)
                 sign *= step
-    assert state.word == word
+    assert state == word
     assert fock._site_major_sign(L)[word] == sign
 
 

@@ -1,46 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from chargepair import bethe, liebwu
 from chargepair.liebwu import (
-    bessel,
     gap_infinite,
     ground_energy_density,
     spin_velocity,
 )
-
-
-class TestBessel:
-    def test_values_at_origin(self):
-        assert bessel("J0", 0.0) == 1.0
-        assert bessel("J1", 0.0) == 0.0
-        assert bessel("I0", 0.0) == 1.0
-        assert bessel("I1", 0.0) == 0.0
-
-    def test_first_zero_of_j0(self):
-        root = brentq(lambda x: bessel("J0", x), 2.0, 3.0, xtol=1e-14)
-        assert abs(root - 2.404825557695773) < 1e-12
-
-    def test_against_independent_evaluation(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
-        grid = [0.1, 0.5, 1.0, 2.5, 7.0, 8.0, 13.7, 42.0]
-        for x in grid:
-            for kind, ref in (
-                ("J0", mpmath.besselj(0, x)),
-                ("J1", mpmath.besselj(1, x)),
-                ("I0", mpmath.besseli(0, x)),
-                ("I1", mpmath.besseli(1, x)),
-            ):
-                ours = bessel(kind, x)
-                assert abs(ours - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            bessel("J2", 1.0)
-        with pytest.raises(ValueError):
-            bessel("J0", -1.0)
 
 
 class TestGap:

@@ -194,13 +194,15 @@ class TestTransferMatrix:
         # the shift and the coupled chain are blind to swapping up and down,
         # so the local order (empty, up, down, up+down) is checked here;
         # site 1 is the most significant digit of the site-major index
+        def bit(word, spin, j):
+            return word >> fock.mode_index(L, spin, j) & 1
+
         expected = [
             np.ravel_multi_index(
-                [(s.up_bits >> (j - 1) & 1) + 2 * (s.down_bits >> (j - 1) & 1)
-                 for j in range(1, L + 1)],
+                [bit(w, fock.UP, j) + 2 * bit(w, fock.DOWN, j) for j in range(1, L + 1)],
                 (4,) * L,
             )
-            for s in fock.enumerate_basis(L)
+            for w in fock._basis_words(L).tolist()
         ]
         assert fock._site_major_permutation(L).tolist() == expected
 
