@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__, bethe, fss, liebwu, models, reference_tables, spectra, ybx
-from .bethe import SolverError
 from .fock import Sector
 from .models import ModelParams
 
@@ -347,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args._command_line = " ".join(argv)
     try:
         result = args.func(args)
-    except SolverError as exc:
+    except RuntimeError as exc:  # bethe.SolverError and the other numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -163,8 +163,9 @@ def _extrapolate_power(series: FssSeries) -> ExtrapolationResult:
     x, s = series.sizes, series.values
     scored: List[Tuple[float, float, float]] = []
     for w in _W_GRID:
-        full = _bst_limit(x, s, w)
-        drop = _bst_limit(x[:-1], s[:-1], w)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite limit is skipped
+            full = _bst_limit(x, s, w)
+            drop = _bst_limit(x[:-1], s[:-1], w)
         if not (np.isfinite(full) and np.isfinite(drop)):
             continue
         scored.append((abs(full - drop), full, w))

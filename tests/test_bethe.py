@@ -503,10 +503,10 @@ class TestLadder:
         assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
         assert abs(energy(roots) - energy(unseeded)) <= 1e-12
 
-    def test_stalled_seed_costs_one_newton_run(self, monkeypatch):
-        # at U = 0.5 the size seed stalls at L = 302; continuation from U = 20
-        # rescues the size, and no Newton run from the decoupled guess at the
-        # target comes in between
+    def test_weak_coupling_size_seeds_need_no_continuation(self, monkeypatch):
+        # at U = 0.5 the bare interpolated seed stalled at L = 302 and fell
+        # back to continuation in U; the edge-relaxed seed converges at every
+        # size above the ladder floor, in one Newton run at the target
         newton = bethe._newton
         runs = []
 
@@ -516,10 +516,29 @@ class TestLadder:
 
         monkeypatch.setattr(bethe, "_newton", spy)
         roots = solve_state("ground", 302, 0.5)
-        at_size = [u for size, u in runs if size == 302]
-        before_continuation = at_size[:at_size.index(20.0)] if 20.0 in at_size else at_size
-        assert before_continuation.count(0.5) <= 1
+        above_floor = [(size, u) for size, u in runs if size > bethe._LADDER_FLOOR]
+        assert above_floor == [(size, 0.5) for size in bethe.ladder_sizes(302)[1:]]
         assert abs(energy(roots) - -385.79099058585325) <= 1e-12
+
+    @pytest.mark.parametrize("L,U", [(385, 4.0), (225, 2.0)])
+    def test_top_rung_takes_three_iterations(self, L, U):
+        assert solve_state("ground", L, U).iterations <= 3
+
+    @pytest.mark.parametrize("state,L,U", [("ground", 225, 2.0), ("charge_excitation", 385, 4.0)])
+    def test_relaxed_seed_keeps_order_and_lowers_the_residual(self, monkeypatch, state, L, U):
+        below = solve_state(state, bethe.ladder_sizes(L)[-2], U)
+        config = quantum_numbers(state, L, U)
+        k, mu = bethe._size_seed(config, below)
+        monkeypatch.setattr(bethe, "_relax_edges", lambda k, mu, config: (k, mu))
+        bare_k, bare_mu = bethe._size_seed(config, below)
+        for roots, q in ((k, config.q1), (mu, config.q2)):
+            assert np.all(np.sign(np.diff(roots)) == np.sign(np.diff(np.array(q, dtype=float))))
+        # only the outermost roots move
+        r = bethe._EDGE_ROOTS
+        assert np.array_equal(k[r:-r], bare_k[r:-r]) and np.array_equal(mu[r:-r], bare_mu[r:-r])
+        relaxed = np.max(np.abs(bethe._residual(k, mu, config)))
+        bare = np.max(np.abs(bethe._residual(bare_k, bare_mu, config)))
+        assert relaxed < bare
 
     def test_failed_size_raises_and_stops_the_ladder(self, monkeypatch):
         original = bethe.solve
@@ -615,6 +634,28 @@ class TestChargeGap:
         excitation, seed = calls[-1]
         assert excitation == quantum_numbers("charge_excitation", L, 2.0)
         assert seed.config == quantum_numbers("ground", L, 2.0)
+
+    def test_excitation_takes_four_iterations(self, monkeypatch):
+        newton = bethe._newton
+        runs = []
+
+        def spy(k, mu, cfg, tol):
+            out = newton(k, mu, cfg, tol)
+            runs.append((cfg, out[3]))
+            return out
+
+        monkeypatch.setattr(bethe, "_newton", spy)
+        charge_gap(385, 4.0)
+        assert runs[-1][0] == quantum_numbers("charge_excitation", 385, 4.0)
+        assert runs[-1][1] <= 4
+
+    def test_gap_with_single_rapidity_levels_matches_exact_diagonalization(self):
+        # at L = 3 both states have one rapidity: its edge relaxation has no
+        # neighbour to keep order with
+        U = 2.0
+        e_ground = sector_levels(3, U, Sector(2, 1))[0]
+        e_charge = sector_levels(3, U, Sector(1, 1))[0]
+        assert abs(charge_gap(3, U) - (e_charge - e_ground)) < 1e-10
 
     @pytest.mark.parametrize("U", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("L,parity", [(6, "even"), (142, "even"), (5, "odd"), (145, "odd")])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chargepair import bethe, cli, models
+from chargepair import bethe, cli, models, spectra
 
 
 def run(argv, tmp_path, name="run", fmt="both"):
@@ -383,6 +383,22 @@ class TestExitCodes:
         code = cli.main(["gap", "--L", "62", "--U", "2"])
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
+
+    def test_extrapolation_with_no_finite_limit_exits_one(self, capsys):
+        code = cli.main(["extrapolate", "--sizes", "2,3,4", "--values", "1e308,-1e308,1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "solver failure: rational extrapolation produced no finite result\n"
+
+    def test_ghost_eigenvalue_exits_one(self, monkeypatch, capsys):
+        def ghost(h, k=None, sector=None):
+            raise RuntimeError("iterative eigenvalue -3.0 has residual 1.000e-02")
+
+        monkeypatch.setattr(spectra, "spectrum", ghost)
+        code = cli.main(["spectrum", "--model", "hubbard", "--L", "3", "--U", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "solver failure: iterative eigenvalue -3.0 has residual 1.000e-02\n"
 
     def test_jobs_is_an_option_of_reproduce_alone(self, capsys):
         with pytest.raises(SystemExit) as exc:
