@@ -73,9 +73,9 @@ def main() -> int:
     calls = []
     newton = bethe._newton
 
-    def spy(k, mu, cfg, tol, max_iter=200):
+    def spy(k, mu, cfg):
         try:
-            out = newton(k, mu, cfg, tol, max_iter)
+            out = newton(k, mu, cfg)
         except bethe.SolverError:
             calls.append((cfg.L, None))
             raise

@@ -15,6 +15,7 @@ branches never drift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,10 +35,8 @@ STATES_ODD = ("ground", "first_excitation", "charge_excitation")
 class SolverError(RuntimeError):
     """Newton iteration failed; carries the last residual for diagnosis."""
 
-    def __init__(self, message: str, residual: Optional[float] = None):
-        if residual is not None:
-            message = f"{message} (last max-residual {residual:.3e})"
-        super().__init__(message)
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (last max-residual {residual:.3e})")
         self.residual = residual
 
 
@@ -55,6 +54,10 @@ class BetheConfig:
     def __post_init__(self):
         if not (math.isfinite(self.U) and self.U > 0):
             raise ValueError(f"coupling U must be finite and positive, got U={self.U}")
+        if self.U * self.U < sys.float_info.min:
+            # theta' = 2cU / (U^2 + c^2 x^2) divides by zero once U^2 underflows
+            raise ValueError(f"coupling U={self.U} is too small: U^2 underflows, "
+                             f"so U must be at least {math.sqrt(sys.float_info.min):.4g}")
         # 2 pi (q + shift) is exact enough to keep the order of q (denominators 1, 2, 4)
         if not all(np.all(d > 0) or np.all(d < 0) for d in map(np.diff, self.targets)):
             raise ValueError("branch numbers must be strictly monotone")
@@ -108,7 +111,7 @@ def parity(L: int) -> str:
     return ODD if L % 2 else EVEN
 
 
-def quantum_numbers(state: str, L: int, U: float = 1.0) -> BetheConfig:
+def quantum_numbers(state: str, L: int, U: float) -> BetheConfig:
     """Branch numbers of the tabulated low-lying states.
 
     The states on offer follow from ``parity(L)``: ``STATES_EVEN`` at
@@ -236,21 +239,25 @@ def _newton_step(k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarr
     return np.concatenate([step_k, step_mu])
 
 
+#: the acceptance gate on the max-norm residual and the iteration cap of every solve
+_TOL = 1e-12
+_MAX_ITER = 200
+
+
 def _damped_newton(
     x: np.ndarray,
     residual: Callable[[np.ndarray], np.ndarray],
     newton_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    tol: float,
-    max_iter: int,
 ) -> Tuple[np.ndarray, float, int]:
     """Newton iteration on residual(x) = 0 with step halving: a step is taken
-    only if it lowers the max-norm residual.  Returns (x, residual, steps)."""
+    only if it lowers the max-norm residual, and x is accepted once that is at
+    most ``_TOL``, within ``_MAX_ITER`` steps.  Returns (x, residual, steps)."""
     f = residual(x)
     best = float(np.max(np.abs(f))) if len(f) else 0.0
-    for it in range(max_iter + 1):
-        if best <= tol:
+    for it in range(_MAX_ITER + 1):
+        if best <= _TOL:
             return x, best, it
-        if it == max_iter:
+        if it == _MAX_ITER:
             break
         try:
             step = newton_step(x, f)
@@ -267,7 +274,7 @@ def _damped_newton(
             lam *= 0.5
         else:
             raise SolverError("damped Newton stalled", residual=best)
-    raise SolverError(f"no convergence after {max_iter} iterations", residual=best)
+    raise SolverError(f"no convergence after {_MAX_ITER} iterations", residual=best)
 
 
 def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -285,7 +292,7 @@ def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
         return k, np.zeros(0)
     if config.U >= 16.0:
         try:
-            lam = _twisted_heisenberg_solve(n, a2, max_iter=80)
+            lam = _twisted_heisenberg_solve(n, a2)
             return k, (config.U / 2.0) * lam
         except SolverError:
             pass
@@ -294,19 +301,13 @@ def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _newton(
-    k: np.ndarray,
-    mu: np.ndarray,
-    config: BetheConfig,
-    tol: float,
-    max_iter: int = 200,
+    k: np.ndarray, mu: np.ndarray, config: BetheConfig
 ) -> Tuple[np.ndarray, np.ndarray, float, int]:
     n = len(k)
     x, res, its = _damped_newton(
         np.concatenate([k, mu]),
         lambda x: _residual(x[:n], x[n:], config),
         lambda x, f: _newton_step(x[:n], x[n:], config, f),
-        tol,
-        max_iter,
     )
     return x[:n], x[n:], res, its
 
@@ -431,12 +432,7 @@ def _starts(config: BetheConfig, seed: Optional[BetheRoots]):
         yield _initial_guess(replace(config, U=path[0])), path
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got tol={tol}")
-
-
-def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[BetheRoots] = None) -> BetheRoots:
+def solve(config: BetheConfig, *, seed: Optional[BetheRoots] = None) -> BetheRoots:
     """Solve the logarithmic equations for the configured root class.
 
     Tries one start at the target U: the ``seed`` when one is given (a
@@ -446,15 +442,14 @@ def solve(config: BetheConfig, tol: float = 1e-12, seed: Optional[BetheRoots] = 
     in decreasing U from the decoupled guess at ``_U_START`` follows.  Every
     path runs a damped Newton iteration (step halving on residual increase)
     at each coupling on it.  Raises the last path's ``SolverError`` when
-    every path fails, and ``ValueError`` unless tol is finite and positive.
+    every path fails.
     """
-    _check_tol(tol)
     for (k, mu), path in _starts(config, seed):
         try:
             its_total = 0
             for u in path:
                 at_u = config if u == config.U else replace(config, U=u)
-                k, mu, res, its = _newton(k, mu, at_u, tol)
+                k, mu, res, its = _newton(k, mu, at_u)
                 its_total += its
             return _validated_roots(k, mu, config, res, its_total)
         except SolverError as exc:
@@ -475,16 +470,15 @@ def ladder_sizes(L: int) -> List[int]:
     return sizes[::-1]
 
 
-def solve_state(state: str, L: int, U: float, tol: float = 1e-12) -> BetheRoots:
+def solve_state(state: str, L: int, U: float) -> BetheRoots:
     """One tabulated state, solved along ``ladder_sizes(L)`` with each size
     seeded by the one below.  A failed size raises its
-    ``SolverError``, and no larger size is solved.  A tol that is not finite
-    and positive raises ``ValueError`` before any solve, and so does a size
-    outside the parity classes."""
-    _check_tol(tol)
+    ``SolverError``, and no larger size is solved.  A size outside the
+    parity classes, or a U that ``BetheConfig`` refuses, raises
+    ``ValueError`` before any solve."""
     roots = None
     for config in [quantum_numbers(state, size, U) for size in ladder_sizes(L)]:
-        roots = solve(config, tol, roots)
+        roots = solve(config, seed=roots)
     return roots
 
 
@@ -589,17 +583,13 @@ def _twisted_jacobian(lam: np.ndarray, n: int) -> np.ndarray:
     return jac
 
 
-def _twisted_heisenberg_solve(
-    n: int, targets: np.ndarray, tol: float = 1e-12, max_iter: int = 200
-) -> np.ndarray:
+def _twisted_heisenberg_solve(n: int, targets: np.ndarray) -> np.ndarray:
     """Real roots of n * 2 atan(2 lam_m) = targets_m + sum 2 atan(lam_m - lam_l)."""
     lam0 = 0.5 * np.tan(np.clip(targets / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
     lam, _, _ = _damped_newton(
         lam0,
         lambda lam: _twisted_residual(lam, n, targets),
         lambda lam, f: np.linalg.solve(_twisted_jacobian(lam, n), f),
-        tol,
-        max_iter,
     )
     return lam
 

@@ -115,8 +115,7 @@ def cmd_compare(args) -> List[Dict]:
 
 
 def cmd_bethe(args) -> List[Dict]:
-    tol = 1e-12 if args.tol is None else args.tol
-    roots = bethe.solve_state(args.state, args.L, args.U, tol=tol)
+    roots = bethe.solve_state(args.state, args.L, args.U)
     e = bethe.energy(roots)
     rows = [{"quantity": "energy", "index": 0, "value": e},
             {"quantity": "residual_norm", "index": 0, "value": roots.residual_norm},
@@ -282,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=sorted(set(bethe.STATES_EVEN) | set(bethe.STATES_ODD)))
     bp.add_argument("--L", type=int, required=True)
     bp.add_argument("--U", type=float, required=True)
-    bp.add_argument("--tol", type=float)
     bp.set_defaults(func=cmd_bethe)
 
     gp = sub.add_parser("gap", parents=[common], help="finite-size charge gap")

@@ -52,12 +52,12 @@ def central_charge_estimator(L: int, U: float) -> float:
     """C(L) = (6L / pi xi) [e_inf L - E0(L/2, L/2)]; approaches one.
 
     The formula needs the half-filled ground state of an even ring, so a size
-    outside the even class (L = 2 (mod 4)) raises ``ValueError`` before any
-    solve."""
+    outside the even class (L = 2 (mod 4)), or a U too small for ``liebwu``,
+    raises ``ValueError`` before any solve."""
     if bethe.parity(L) != bethe.EVEN:
         raise ValueError(f"the central-charge estimator needs L = 2 (mod 4), got L={L}")
-    e0 = bethe.state_energy("ground", L, U)
     e_inf = liebwu.ground_energy_density(U)
+    e0 = bethe.state_energy("ground", L, U)
     xi = liebwu.spin_velocity(U)
     return 6.0 * L / (np.pi * xi) * (e_inf * L - e0)
 

@@ -32,11 +32,20 @@ def _fermi(x: np.ndarray, U: float) -> np.ndarray:
     return t / (1.0 + t)
 
 
+#: the most panels one quadrature builds at once: about 51/U are needed at small U,
+#: and at this limit ``chargepair liebwu gap`` peaks at 203 MB RSS (6.8 GB at U = 1e-5)
+_MAX_PANELS = 100_000
+
+
 def _panel_quadrature(f: Callable, U: float) -> float:
     upper = _upper_cut(U)
     nodes, weights = np.polynomial.legendre.leggauss(_NODES)
     # panels must resolve both the Bessel oscillation and the exp(-Ux/2) decay
     width = min(_PANEL_WIDTH, 8.0 / U)
+    if upper / width > _MAX_PANELS:
+        smallest = 80.0 / (_MAX_PANELS * _PANEL_WIDTH - 10.0)  # _upper_cut inverted
+        raise ValueError(f"coupling U={U} is too small for the Lieb-Wu quadrature (over "
+                         f"{_MAX_PANELS} panels); the smallest accepted U is about {smallest:.3g}")
     n_panels = max(4, int(np.ceil(upper / width)))
     edges = np.linspace(0.0, upper, n_panels + 1)
     half = 0.5 * np.diff(edges)

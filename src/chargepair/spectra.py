@@ -34,9 +34,9 @@ def _as_dense(h: sp.csr_matrix) -> np.ndarray:
     return h.toarray()
 
 
-def _check_hermitian(h: sp.csr_matrix, tol: float = 1e-10) -> None:
+def _check_hermitian(h: sp.csr_matrix) -> None:
     dev = abs(h - h.conj().T).max()
-    if dev > tol:
+    if dev > 1e-10:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 

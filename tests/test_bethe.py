@@ -49,26 +49,26 @@ _BRANCH_STARTS = {
 
 class TestQuantumNumbers:
     def test_even_ground_sequences(self):
-        cfg = quantum_numbers("ground", 6)
+        cfg = quantum_numbers("ground", 6, 2.0)
         assert cfg.sector == Sector(3, 3)
         assert [float(q) for q in cfg.q1] == [3, 2, 1, 0, -1, -2]
         assert [float(q) for q in cfg.q2] == [-1, 0, 1]
 
     def test_even_charge_excitation_half_integers(self):
-        cfg = quantum_numbers("charge_excitation", 6)
+        cfg = quantum_numbers("charge_excitation", 6, 2.0)
         assert cfg.sector == Sector(3, 2)
         assert len(cfg.q1) == 5
         assert [float(q) for q in cfg.q1] == [2.5, 1.5, 0.5, -0.5, -1.5]
 
     def test_odd_ground_sequences(self):
-        cfg = quantum_numbers("ground", 5)
+        cfg = quantum_numbers("ground", 5, 2.0)
         assert cfg.sector == Sector(3, 2)
         assert [float(q) for q in cfg.q1] == [2.5, 1.5, 0.5, -0.5, -1.5]
         assert [float(q) for q in cfg.q2] == [-1, 0]
 
     def test_multiple_of_four_rejected(self):
         with pytest.raises(ValueError, match="2 \\(mod 4\\)"):
-            quantum_numbers("ground", 8)
+            quantum_numbers("ground", 8, 2.0)
 
     @pytest.mark.parametrize("L,expected", [(1, "odd"), (2, "even"), (65, "odd"),
                                             (1025, "odd"), (1038, "even")])
@@ -85,13 +85,13 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError, match=f"at least 1, got L={L}$"):
             bethe.parity(L)
         with pytest.raises(ValueError, match=f"got L={L}$"):
-            quantum_numbers("ground", L)
+            quantum_numbers("ground", L, 2.0)
 
     def test_state_parity_pairing(self):
         with pytest.raises(ValueError):
-            quantum_numbers("spin_excitation", 5)
+            quantum_numbers("spin_excitation", 5, 2.0)
         with pytest.raises(ValueError):
-            quantum_numbers("first_excitation", 6)
+            quantum_numbers("first_excitation", 6, 2.0)
 
     @pytest.mark.parametrize("U", [np.nan, np.inf, 0.0, -2.0])
     def test_coupling_must_be_finite_and_positive(self, U):
@@ -111,7 +111,7 @@ class TestQuantumNumbers:
     def test_branch_numbers_equal_fraction_sums(self, case):
         L, states = case
         for state in states:
-            cfg = quantum_numbers(state, L)
+            cfg = quantum_numbers(state, L, 2.0)
             for q, (start, step, count) in zip((cfg.q1, cfg.q2), _BRANCH_STARTS[state](L)):
                 assert q == tuple(start + step * j for j in range(count))
                 assert all(type(x) is Fraction for x in q)
@@ -311,7 +311,7 @@ class TestJacobian:
         # k = pi and mu = 0 at L = 2, U = 4 make L + cos k * theta1'(sin k - mu) = 0
         cfg = BetheConfig(2, 4.0, (Fraction(1), Fraction(0)), (Fraction(0),))
         with pytest.raises(SolverError, match="singular") as err:
-            bethe._newton(np.array([np.pi, np.pi]), np.zeros(1), cfg, 1e-12, 10)
+            bethe._newton(np.array([np.pi, np.pi]), np.zeros(1), cfg)
         assert err.value.residual > 0.0
 
 
@@ -320,16 +320,28 @@ class TestDampedNewton:
         # x^2 + 1 has no real root: no step may be accepted that raises the residual
         with pytest.raises(SolverError) as err:
             bethe._damped_newton(np.array([0.5]), lambda x: x * x + 1.0,
-                                 lambda x, f: f / (2.0 * x), 1e-12, 200)
+                                 lambda x, f: f / (2.0 * x))
         assert err.value.residual >= 1.0
 
-    def test_twisted_chain_converges_in_few_steps(self):
+    def test_twisted_chain_converges_in_few_steps(self, monkeypatch):
         # the twisted-chain seed of the L = 65 odd ground state: quadratic
         # convergence needs the exact Jacobian
+        monkeypatch.setattr(bethe, "_MAX_ITER", 12)
         targets = quantum_numbers("ground", 65, 20.0).targets[1]
-        lam = bethe._twisted_heisenberg_solve(65, targets, max_iter=12)
+        lam = bethe._twisted_heisenberg_solve(65, targets)
         assert np.max(np.abs(bethe._twisted_residual(lam, 65, targets))) <= 1e-12
         assert np.all(np.diff(lam) > 0)
+
+    def test_every_solve_stops_at_the_one_gate(self, monkeypatch):
+        config = quantum_numbers("ground", 65, 2.0)
+        strict = solve(config)
+        targets = quantum_numbers("ground", 65, 20.0).targets[1]
+        monkeypatch.setattr(bethe, "_TOL", 1e-6)
+        loose = solve(config)
+        assert 1e-12 < loose.residual_norm <= 1e-6
+        assert loose.iterations < strict.iterations
+        lam = bethe._twisted_heisenberg_solve(65, targets)
+        assert 1e-12 < np.max(np.abs(bethe._twisted_residual(lam, 65, targets))) <= 1e-6
 
 
 class TestValidatedRoots:
@@ -402,7 +414,7 @@ class TestSolve:
         seed = solve_state("ground", 6, 30.0)
         calls = []
 
-        def stall(k, mu, config, tol):
+        def stall(k, mu, config):
             calls.append(config.U)
             raise SolverError(f"stalled at U={config.U:g}", residual=1.0)
 
@@ -420,14 +432,6 @@ class TestSolve:
             solve(quantum_numbers("ground", 14, 30.0), seed=seed)
         assert calls == [30.0]
 
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
-        monkeypatch.setattr(bethe, "_newton", None)
-        with pytest.raises(ValueError, match="tolerance"):
-            solve(quantum_numbers("ground", 6, 2.0), tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            solve_state("ground", 145, 2.0, tol)
 
     def test_seeded_solve_at_its_coupling_builds_no_config(self, monkeypatch):
         seed = solve_state("ground", 65, 2.0)
@@ -455,7 +459,7 @@ class TestLadder:
         assert all(size > bethe._LADDER_FLOOR for size in sizes[1:])
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
         for size in sizes:
-            quantum_numbers("ground", size)
+            quantum_numbers("ground", size, 2.0)
 
     @pytest.mark.parametrize("U", [2.0, 3.0, 4.0])
     @pytest.mark.parametrize("state,L", [(s, 142) for s in bethe.STATES_EVEN]
@@ -466,10 +470,10 @@ class TestLadder:
         newton = bethe._newton
         at_target = []
 
-        def spy(k, mu, cfg, tol):
+        def spy(k, mu, cfg):
             if cfg.L == L:
                 at_target.append(cfg.U)
-            return newton(k, mu, cfg, tol)
+            return newton(k, mu, cfg)
 
         monkeypatch.setattr(bethe, "_newton", spy)
         roots = solve_state(state, L, U)
@@ -485,11 +489,11 @@ class TestLadder:
         newton = bethe._newton
         starts = []
 
-        def stall_from_seed(k, mu, cfg, tol):
+        def stall_from_seed(k, mu, cfg):
             starts.append((k, mu, cfg.U))
             if len(starts) == 1:
                 raise SolverError("damped Newton stalled", residual=1.0)
-            return newton(k, mu, cfg, tol)
+            return newton(k, mu, cfg)
 
         monkeypatch.setattr(bethe, "_newton", stall_from_seed)
         roots = solve(config, seed=seed)
@@ -510,9 +514,9 @@ class TestLadder:
         newton = bethe._newton
         runs = []
 
-        def spy(k, mu, cfg, tol):
+        def spy(k, mu, cfg):
             runs.append((cfg.L, cfg.U))
-            return newton(k, mu, cfg, tol)
+            return newton(k, mu, cfg)
 
         monkeypatch.setattr(bethe, "_newton", spy)
         roots = solve_state("ground", 302, 0.5)
@@ -544,11 +548,11 @@ class TestLadder:
         original = bethe.solve
         calls = []
 
-        def fail_at_115(config, tol=1e-12, seed=None):
+        def fail_at_115(config, *, seed=None):
             calls.append((config.L, seed.config.L if seed else None))
             if config.L == 115:
                 raise SolverError("stalled at 115", residual=1.0)
-            return original(config, tol, seed)
+            return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", fail_at_115)
         with pytest.raises(SolverError, match="stalled at 115") as err:
@@ -559,10 +563,10 @@ class TestLadder:
     def test_failure_at_the_target_raises(self, monkeypatch):
         original = bethe.solve
 
-        def fail_at_target(config, tol=1e-12, seed=None):
+        def fail_at_target(config, *, seed=None):
             if config.L == 145:
                 raise SolverError("stalled at the target", residual=2.0)
-            return original(config, tol, seed)
+            return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", fail_at_target)
         with pytest.raises(SolverError, match="target") as err:
@@ -573,9 +577,9 @@ class TestLadder:
         calls = []
         original = bethe.solve
 
-        def spy(config, tol=1e-12, seed=None):
+        def spy(config, *, seed=None):
             calls.append((config.L, seed))
-            return original(config, tol, seed)
+            return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", spy)
         roots = solve_state("charge_excitation", 33, 2.0)
@@ -617,9 +621,9 @@ class TestChargeGap:
         original = bethe.solve
         calls = []
 
-        def spy(config, tol=1e-12, seed=None):
+        def spy(config, *, seed=None):
             calls.append((config, seed))
-            return original(config, tol, seed)
+            return original(config, seed=seed)
 
         def no_cache(*args):
             raise AssertionError("the gap went through the state_energy cache")
@@ -639,8 +643,8 @@ class TestChargeGap:
         newton = bethe._newton
         runs = []
 
-        def spy(k, mu, cfg, tol):
-            out = newton(k, mu, cfg, tol)
+        def spy(k, mu, cfg):
+            out = newton(k, mu, cfg)
             runs.append((cfg, out[3]))
             return out
 
@@ -669,10 +673,10 @@ class TestChargeGap:
         original = bethe.solve
         ground = quantum_numbers("ground", 62, 2.0)
 
-        def fail_at_ground(config, tol=1e-12, seed=None):
+        def fail_at_ground(config, *, seed=None):
             if config == ground:
                 raise SolverError("ground stalled", residual=3.0)
-            return original(config, tol, seed)
+            return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", fail_at_ground)
         with pytest.raises(SolverError, match="ground stalled") as err:
@@ -744,9 +748,9 @@ class TestStrongCoupling:
         original = bethe.solve
         solved = []
 
-        def spy(config, tol=1e-12, seed=None):
+        def spy(config, *, seed=None):
             solved.append(config)
-            return original(config, tol, seed)
+            return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", spy)
         d100 = bethe.strong_coupling_check(7, Fraction(3, 2), 100.0)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from chargepair import bethe, cli, models, spectra
@@ -342,7 +343,7 @@ class TestExitCodes:
         assert "k must be at least 1" in capsys.readouterr().err
 
     def test_coupling_outside_the_table_fails_before_any_solve(self, monkeypatch, capsys):
-        def no_solve(config, tol=1e-12):
+        def no_solve(config, *, seed=None):
             raise AssertionError("solved a cell of a column the table does not have")
 
         monkeypatch.setattr(bethe, "solve", no_solve)
@@ -365,15 +366,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage error" in err and f"L={sizes.split(',')[-1]}" in err
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    def test_bad_tolerance_fails_before_any_solve(self, monkeypatch, capsys, tol):
+    def test_tolerance_is_no_option_of_bethe(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bethe", "--state", "ground", "--L", "13", "--U", "2", "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["liebwu", "gap", "--U", "1e-5"],
+                                      ["liebwu", "energy", "--U", "1e-200"],
+                                      ["scaling-dim", "--j", "1", "--sizes", "65,145",
+                                       "--U", "1e-300"],
+                                      ["central-charge", "--L", "62", "--U", "1e-4"]])
+    def test_coupling_too_small_for_the_quadrature(self, monkeypatch, capfd, argv):
+        def no_panels(*args, **kwargs):
+            raise AssertionError("built quadrature panels for a coupling that needs too many")
+
         def no_solve(*args, **kwargs):
-            raise AssertionError("solved with a tolerance that is not finite and positive")
+            raise AssertionError("solved before refusing the coupling")
+
+        monkeypatch.setattr(np, "linspace", no_panels)
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(argv) == 2
+        err = capfd.readouterr().err
+        U = argv[-1]
+        assert err.startswith(f"usage error: coupling U={float(U)} is too small")
+        assert "the smallest accepted U is about 0.000509" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["bethe", "--state", "ground", "--L", "13", "--U", "1e-200"],
+                                      ["bethe", "--state", "ground", "--L", "6", "--U", "1e-300"],
+                                      ["gap", "--L", "62", "--U", "5e-324"]])
+    def test_coupling_whose_square_underflows(self, monkeypatch, capfd, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved at a coupling whose square underflows")
 
         monkeypatch.setattr(bethe, "solve", no_solve)
-        code = cli.main(["bethe", "--state", "ground", "--L", "13", "--U", "2", "--tol", tol])
-        assert code == 2
-        assert "usage error" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        err = capfd.readouterr().err
+        U = argv[-1]
+        assert err == (f"usage error: coupling U={float(U)} is too small: U^2 underflows, "
+                       "so U must be at least 1.492e-154\n")
 
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         def boom(L, U):
