@@ -111,13 +111,25 @@ def parity(L: int) -> str:
     return ODD if L % 2 else EVEN
 
 
+#: the largest size with branch numbers, so that a huge L is refused before
+#: O(L) of them are built.  The float64 residual stops reaching ``_TOL`` well
+#: below it: at U = 0.5, 2 and 4 every gap tried at L = 1793-2049 stalled at
+#: 1.1-1.4e-12 (L = 1790 converged), and a gap at L = 4094 stalls on the
+#: L = 2046 rung after 3.8 s.  At L = 4096 the kernel scratch would hold 201 MB.
+_MAX_L = 4096
+
+
 def quantum_numbers(state: str, L: int, U: float) -> BetheConfig:
     """Branch numbers of the tabulated low-lying states.
 
     The states on offer follow from ``parity(L)``: ``STATES_EVEN`` at
     L = 2 (mod 4), ``STATES_ODD`` at odd L; any other size raises
-    ``ValueError``.
+    ``ValueError``, and so does a size above ``_MAX_L``, before any branch
+    number is built.
     """
+    if L > _MAX_L:
+        raise ValueError(f"size L={L} is above the largest solved size {_MAX_L}: "
+                         "the float64 residual no longer reaches the 1e-12 gate there")
     if parity(L) == EVEN:
         if state == "ground":
             q1 = _frac_seq(Fraction(L, 2), -1, L)
@@ -156,12 +168,31 @@ def _theta(x: np.ndarray, c: float, U: float) -> np.ndarray:
     return x
 
 
-def _dtheta(x: np.ndarray, c: float, U: float) -> np.ndarray:
-    """The derivative 2cU / (U^2 + c^2 x^2) of ``_theta``, in a new array."""
-    d = c * c * x
+def _dtheta(x: np.ndarray, c: float, U: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The derivative 2cU / (U^2 + c^2 x^2) of ``_theta``, written into ``out``
+    (a new array when it is None) and returned.  ``out`` must not be x:
+    the square is rounded as (c^2 x) x, which reads x after c^2 x is written."""
+    d = np.multiply(c * c, x, out=out)
     d *= x
     d += U * U
     return np.divide(2.0 * c * U, d, out=d)
+
+
+#: flat float64 buffers of the Newton kernels by name, each allocated on first
+#: use and replaced only by a larger one.  Fresh n x m and m x m temporaries
+#: (0.3-0.6 MB each at L = 382) are handed back to the OS by glibc's heap
+#: trimming after every call and page-faulted in again on the next one.
+#: One thread at a time: every solve in a process shares these buffers.
+_SCRATCH: dict = {}
+
+
+def _scratch(name: str, rows: int, cols: int) -> np.ndarray:
+    """A C-ordered (rows, cols) view of the scratch buffer ``name``: valid
+    until the next kernel call that takes the same buffer."""
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < rows * cols:
+        buf = _SCRATCH[name] = np.empty(rows * cols)
+    return buf[:rows * cols].reshape(rows, cols)
 
 
 def bethe_residual(roots: BetheRoots) -> np.ndarray:
@@ -178,15 +209,21 @@ def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
     sums of a C-contiguous copy of t1^T, the same pairwise summation as the
     rows of theta1(mu - sin k), so the sums keep their bits.  ``t1.sum(axis=0)``
     is not used: it adds the rows one after another, and at L ~ 1000 that
-    rounding lifts converged residuals of 7-9e-13 over the 1e-12 gate."""
+    rounding lifts converged residuals of 7-9e-13 over the 1e-12 gate.
+
+    t1, its transposed copy and theta2 live in the ``_scratch`` buffers
+    "nm_a", "nm_b" and "mm_a"."""
     U = config.U
     a1, a2 = config.targets
     f1 = config.L * k - a1
     if len(mu):
-        t1 = _theta(np.subtract.outer(np.sin(k), mu), 4.0, U)
+        n, m = len(k), len(mu)
+        t1 = _theta(np.subtract.outer(np.sin(k), mu, out=_scratch("nm_a", n, m)), 4.0, U)
         f1 += t1.sum(axis=1)
-        f2 = -t1.T.copy().sum(axis=1) - a2
-        t2 = _theta(np.subtract.outer(mu, mu), 2.0, U)
+        t1_rows = _scratch("nm_b", m, n)
+        np.copyto(t1_rows, t1.T)
+        f2 = -t1_rows.sum(axis=1) - a2
+        t2 = _theta(np.subtract.outer(mu, mu, out=_scratch("mm_a", m, m)), 2.0, U)
         np.fill_diagonal(t2, 0.0)
         f2 -= t2.sum(axis=1)
         return np.concatenate([f1, f2])
@@ -198,12 +235,19 @@ def _jacobian_blocks(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Blocks of the Jacobian [[diag(dk), -d1], [-d1^T diag(cos k), e]].
 
-    theta1' is even, so the k-rows and the mu-rows share the n x m matrix d1."""
+    theta1' is even, so the k-rows and the mu-rows share the n x m matrix d1.
+    d1 and e are views of the ``_scratch`` buffers "nm_b" and "mm_b", valid
+    until the next kernel call (``_residual``, ``_jacobian_blocks`` or
+    ``_newton_step``) in this thread; the arguments of ``_dtheta`` pass
+    through "nm_a" and "mm_a"."""
     U = config.U
+    n, m = len(k), len(mu)
     ck = np.cos(k)
-    d1 = _dtheta(np.subtract.outer(np.sin(k), mu), 4.0, U)
+    x = np.subtract.outer(np.sin(k), mu, out=_scratch("nm_a", n, m))
+    d1 = _dtheta(x, 4.0, U, out=_scratch("nm_b", n, m))
     dk = config.L + ck * d1.sum(axis=1)
-    e = _dtheta(np.subtract.outer(mu, mu), 2.0, U)
+    x = np.subtract.outer(mu, mu, out=_scratch("mm_a", m, m))
+    e = _dtheta(x, 2.0, U, out=_scratch("mm_b", m, m))
     np.fill_diagonal(e, 0.0)
     diag = d1.sum(axis=0) - e.sum(axis=1)
     np.fill_diagonal(e, diag)
@@ -222,14 +266,19 @@ def _newton_step(k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarr
 
     Dense algebra stays on numpy (solve and @): scipy bundles a second
     OpenBLAS with its own thread pool, and alternating the two libraries in
-    this loop makes the pools contend for the cores (measured 2-3x slower)."""
+    this loop makes the pools contend for the cores (measured 2-3x slower).
+
+    w = d1^T diag(ck/dk) is written F-ordered, into the transpose of the
+    (n, m) buffer "nm_a", as a fresh ``d1.T * (ck / dk)`` comes out: a
+    C-ordered w rounds the GEMM ``w @ d1`` differently.  That product goes
+    to "mm_a"."""
     dk, ck, d1, e = _jacobian_blocks(k, mu, config)
     if not np.all(np.isfinite(dk) & (dk != 0.0)):
         raise np.linalg.LinAlgError("vanishing k-pivot")
-    n = len(k)
+    n, m = d1.shape
     f1, f2 = f[:n], f[n:]
-    w = d1.T * (ck / dk)
-    e -= w @ d1
+    w = np.multiply(d1.T, ck / dk, out=_scratch("nm_a", n, m).T)
+    e -= np.matmul(w, d1, out=_scratch("mm_a", m, m))
     rhs = w @ f1
     rhs += f2
     step_mu = np.linalg.solve(e, rhs)
@@ -474,10 +523,12 @@ def solve_state(state: str, L: int, U: float) -> BetheRoots:
     """One tabulated state, solved along ``ladder_sizes(L)`` with each size
     seeded by the one below.  A failed size raises its
     ``SolverError``, and no larger size is solved.  A size outside the
-    parity classes, or a U that ``BetheConfig`` refuses, raises
-    ``ValueError`` before any solve."""
+    parity classes or above ``_MAX_L``, or a U that ``BetheConfig``
+    refuses, raises ``ValueError`` before any solve; the configs are built
+    from the top down, so the error names L itself."""
+    configs = [quantum_numbers(state, size, U) for size in reversed(ladder_sizes(L))]
     roots = None
-    for config in [quantum_numbers(state, size, U) for size in ladder_sizes(L)]:
+    for config in reversed(configs):
         roots = solve(config, seed=roots)
     return roots
 

@@ -238,6 +238,17 @@ class TestExitCodes:
         assert cli.main(["gap", "--L", "64", "--U", "2"]) == 2
         assert "L=64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["gap", "--L", "100000000", "--U", "2"],
+                                      ["bethe", "--state", "ground", "--L", "4097", "--U", "2"]])
+    def test_size_above_the_limit_fails_before_any_branch_number(self, monkeypatch, capsys, argv):
+        def no_branch_numbers(*args, **kwargs):
+            raise AssertionError("built branch numbers above the size limit")
+
+        monkeypatch.setattr(bethe, "_frac_seq", no_branch_numbers)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"L={argv[argv.index('--L') + 1]}" in err and str(bethe._MAX_L) in err
+
     @pytest.mark.parametrize("argv", [["scaling-dim", "--j", "0", "--sizes", "145,65", "--U", "2"],
                                       ["scaling-dim", "--j", "0", "--sizes", "225,65,145",
                                        "--U", "2"],
