@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from chargepair import bethe  # noqa: E402
 from chargepair.reference_tables import EVEN_SIZES, ODD_SIZES  # noqa: E402
 
-COUPLINGS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
+COUPLINGS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 16.0, 100.0)
 CASES = [(state, L) for state in bethe.STATES_EVEN for L in sorted(EVEN_SIZES + (514,))]
 CASES += [(state, L) for state in bethe.STATES_ODD for L in ODD_SIZES]
 

@@ -327,26 +327,14 @@ def _damped_newton(
 
 
 def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Strong-coupling decoupled start: free momenta from the branch numbers,
-    rapidities from the isolated second-level equation.
-
-    At strong coupling the rescaled rapidities solve the twisted isotropic
-    chain equation, which makes the residual of the guess O(1/U).  Below the
-    continuation start the tangent seed is closer."""
+    """Decoupled start at any U: free momenta k = 2 pi (q1 + shift1) / L,
+    and rapidities that solve the second level with every sin k set to zero
+    and their mutual scattering dropped, n theta1(mu) = 2 pi (q2 + shift2)
+    for n = |q1| momenta, the tangent's argument clipped short of its
+    poles."""
     a1, a2 = config.targets
-    k = a1 / config.L
-    n = len(config.q1)
-    m = len(config.q2)
-    if m == 0:
-        return k, np.zeros(0)
-    if config.U >= 16.0:
-        try:
-            lam = _twisted_heisenberg_solve(n, a2)
-            return k, (config.U / 2.0) * lam
-        except SolverError:
-            pass
-    arg = np.clip(a2 / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi)
-    return k, (config.U / 4.0) * np.tan(arg)
+    arg = np.clip(a2 / (2.0 * len(a1)), -0.47 * np.pi, 0.47 * np.pi)
+    return a1 / config.L, (config.U / 4.0) * np.tan(arg)
 
 
 def _newton(
@@ -486,7 +474,8 @@ def solve(config: BetheConfig, *, seed: Optional[BetheRoots] = None) -> BetheRoo
 
     Tries one start at the target U: the ``seed`` when one is given (a
     solved state at the same U: the same state at another size, or another
-    state at any size), else the decoupled guess.
+    state at any size), else the decoupled guess (``_initial_guess``, the
+    same formula at every U).
     If Newton fails from there and U is below ``_U_START``, a continuation
     in decreasing U from the decoupled guess at ``_U_START`` follows.  Every
     path runs a damped Newton iteration (step halving on residual increase)
@@ -635,7 +624,8 @@ def _twisted_jacobian(lam: np.ndarray, n: int) -> np.ndarray:
 
 
 def _twisted_heisenberg_solve(n: int, targets: np.ndarray) -> np.ndarray:
-    """Real roots of n * 2 atan(2 lam_m) = targets_m + sum 2 atan(lam_m - lam_l)."""
+    """Real roots of n * 2 atan(2 lam_m) = targets_m + sum 2 atan(lam_m - lam_l):
+    the reference of ``strong_coupling_check``."""
     lam0 = 0.5 * np.tan(np.clip(targets / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
     lam, _, _ = _damped_newton(
         lam0,

@@ -14,9 +14,8 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -220,15 +219,9 @@ def cmd_reproduce(args) -> tuple:
             raise ValueError(f"{table} has no size L={L}; its sizes are "
                              + ", ".join(map(str, default_sizes)))
 
-    jobs = min(args.jobs, len(us))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(_column, repeat(table), us, repeat(sizes)))
-    else:
-        columns = [_column(table, u, sizes) for u in us]
     rows, deviations = [], []
-    for u, column in zip(us, columns):
-        for L, value in column.items():
+    for u in us:
+        for L, value in _column(table, u, sizes).items():
             reference = ref[u][L]
             rows.append({"table": table, "U": u, "L": L, "computed": value,
                          "reference": reference})
@@ -328,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("table", choices=("table2", "table4", "table5", "table7", "table8", "table9"))
     rp.add_argument("--U", type=float)
     rp.add_argument("--sizes", help="trim to these sizes")
-    rp.add_argument("--jobs", type=int, default=1, help="worker processes over the U columns")
+    rp.add_argument("--jobs", type=int, choices=(1,), default=1,
+                    help="only 1: the U columns are computed in this process; the option "
+                         "goes once perfbench/workloads.py stops passing --jobs 1")
     rp.add_argument("--include-suspect", action="store_true",
                     help="score the known out-of-trend cells as well")
     rp.set_defaults(func=cmd_reproduce)

@@ -91,6 +91,8 @@ def scaling_dimension_series(j: int, sizes: Sequence[int], U: float) -> FssSerie
 
     The log-correction amplitude is eliminated between each pair of
     consecutive sizes, and the pair value is placed at the larger size.
+    Sizes that are even, out of order or outside ``bethe.quantum_numbers``
+    raise ``ValueError`` before any solve.
     """
     if j not in _DIMENSION_STATES:
         raise ValueError("j must be 0 (ground) or 1 (first excitation)")
@@ -104,6 +106,9 @@ def scaling_dimension_series(j: int, sizes: Sequence[int], U: float) -> FssSerie
     e_inf = liebwu.ground_energy_density(U)
     xi = liebwu.spin_velocity(U)
     i0 = special.i0(2.0 * np.pi / U)
+    # the sizes are solved in ascending order, so only the largest can be
+    # refused after a smaller one was solved: one above bethe._MAX_L raises here
+    bethe.quantum_numbers(state, sizes[-1], U)
     bare = [_bare_dimension(state, L, U, e_inf, xi) for L in sizes]
     pts = []
     for i in range(len(sizes) - 1):

@@ -213,14 +213,17 @@ class TestResidual:
         res = bethe_residual(BetheRoots(cfg, k, roots.mu, 0.0, 0))
         assert 6e-6 <= abs(res[2]) <= 3 * 6e-6
 
-    def test_decoupled_guess_residual_shrinks_with_coupling(self):
-        def guess_residual(U):
+    def test_twisted_chain_roots_approach_the_full_equations(self):
+        # free momenta and rapidities (U/2) lam from the twisted isotropic
+        # chain: the residual of the full equations decays like 1/U
+        def twisted_residual(U):
             cfg = quantum_numbers("ground", 6, U)
-            k, mu = bethe._initial_guess(cfg)
-            return np.max(np.abs(bethe_residual(BetheRoots(cfg, k, mu, 0.0, 0))))
+            a1, a2 = cfg.targets
+            mu = (U / 2.0) * bethe._twisted_heisenberg_solve(len(a1), a2)
+            return np.max(np.abs(bethe_residual(BetheRoots(cfg, a1 / cfg.L, mu, 0.0, 0))))
 
-        weak = guess_residual(50.0)
-        strong = guess_residual(500.0)
+        weak = twisted_residual(50.0)
+        strong = twisted_residual(500.0)
         assert strong < weak
         assert strong < 20.0 / 500.0
 
@@ -480,7 +483,7 @@ class TestLadder:
         for size in sizes:
             quantum_numbers("ground", size, 2.0)
 
-    @pytest.mark.parametrize("U", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("U", [2.0, 3.0, 4.0, 20.0, 1000.0])
     @pytest.mark.parametrize("state,L", [(s, 142) for s in bethe.STATES_EVEN]
                              + [(s, 145) for s in bethe.STATES_ODD])
     def test_seeded_energy_equals_unseeded(self, monkeypatch, state, L, U):

@@ -147,18 +147,12 @@ class TestDeterminismAndManifest:
             elif col != "parity":
                 assert float(text) == pytest.approx(row[col], rel=1e-12)
 
-    def test_jobs_do_not_change_values(self, tmp_path):
-        argv = ["reproduce", "table4", "--U", "2", "--sizes", "62,142"]
-        _, serial = run(argv, tmp_path, name="serial")
-        _, parallel = run(argv + ["--jobs", "2"], tmp_path, name="parallel")
-        assert serial["csv"] == parallel["csv"]
-
     def test_jobs_over_every_column_of_a_dimension_table(self, tmp_path):
         argv = ["reproduce", "table8", "--sizes", "65,145"]
         _, serial = run(argv, tmp_path, name="serial")
-        _, parallel = run(argv + ["--jobs", "2"], tmp_path, name="parallel")
+        _, one_job = run(argv + ["--jobs", "1"], tmp_path, name="one_job")
         assert [line.split(",")[1] for line in serial["csv"].splitlines()[1:]] == ["2", "3", "4"]
-        assert serial["csv"] == parallel["csv"]
+        assert serial["csv"] == one_job["csv"]
 
 
 class TestSharedParser:
@@ -260,6 +254,15 @@ class TestExitCodes:
         monkeypatch.setattr(bethe, "solve", no_solve)
         assert cli.main(argv) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_dimension_size_above_the_limit_fails_before_any_solve(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved the smaller sizes of a series with one above the limit")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        argv = ["scaling-dim", "--j", "0", "--sizes", "225,465,4097", "--U", "2"]
+        assert cli.main(argv) == 2
+        assert "L=4097" in capsys.readouterr().err
 
     def test_central_charge_at_odd_size_fails_before_any_solve(self, monkeypatch, capsys):
         def no_solve(*args, **kwargs):
@@ -446,6 +449,12 @@ class TestExitCodes:
     def test_jobs_is_an_option_of_reproduce_alone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["liebwu", "xi", "--U", "2", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_more_than_one_job_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "table4", "--U", "2", "--sizes", "62", "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
