@@ -8,18 +8,18 @@ The two-level equations for momenta k_j and spin rapidities mu_l read
 with theta1(x) = 2 atan(4x/U), theta2(x) = 2 atan(2x/U).  The ring twist
 follows from L: for even L the branch numbers q1, q2 are used as tabulated;
 for odd L the ring phases shift them by -1/4 (first level) and +1/2 (second
-level).  Quantum numbers are kept as exact rationals so half-integer
-branches never drift.
+level).  Branch numbers are floats: each q and q + shift is a multiple of
+1/4 far below 2^51, which float64 holds exactly.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class BetheConfig:
 
     L: int
     U: float
-    q1: Tuple[Fraction, ...]
-    q2: Tuple[Fraction, ...]
+    q1: Tuple[float, ...]
+    q2: Tuple[float, ...]
 
     def __post_init__(self):
         if not (math.isfinite(self.U) and self.U > 0):
@@ -76,7 +76,7 @@ class BetheConfig:
     def targets(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only right-hand sides 2 pi (q1 + shift1), 2 pi (q2 + shift2),
         built once per config."""
-        a1, a2 = (2.0 * np.pi * (np.array([float(x) for x in q]) + shift)
+        a1, a2 = (2.0 * np.pi * (np.array(q, dtype=float) + shift)
                   for q, shift in zip((self.q1, self.q2), self.shifts))
         a1.flags.writeable = a2.flags.writeable = False
         return a1, a2
@@ -94,10 +94,9 @@ class BetheRoots:
     iterations: int
 
 
-def _frac_seq(start: Fraction, step: int, count: int) -> Tuple[Fraction, ...]:
-    """start, start + step, ... (count terms), each built from integers."""
-    n0, d = start.numerator, start.denominator
-    return tuple(Fraction(n0 + step * j * d, d) for j in range(count))
+def _branch_numbers(start: float, step: int, count: int) -> Tuple[float, ...]:
+    """start, start + step, ... (count terms), exact for a start on the quarter lattice."""
+    return tuple((start + step * np.arange(count)).tolist())
 
 
 def parity(L: int) -> str:
@@ -132,27 +131,27 @@ def quantum_numbers(state: str, L: int, U: float) -> BetheConfig:
                          "the float64 residual no longer reaches the 1e-12 gate there")
     if parity(L) == EVEN:
         if state == "ground":
-            q1 = _frac_seq(Fraction(L, 2), -1, L)
-            q2 = _frac_seq(-Fraction(L - 2, 4), 1, L // 2)
+            q1 = _branch_numbers(L / 2, -1, L)
+            q2 = _branch_numbers(-(L - 2) / 4, 1, L // 2)
         elif state == "charge_excitation":
-            q1 = _frac_seq(Fraction(L - 1, 2), -1, L - 1)
-            q2 = _frac_seq(-Fraction(L - 2, 4), 1, L // 2 - 1)
+            q1 = _branch_numbers((L - 1) / 2, -1, L - 1)
+            q2 = _branch_numbers(-(L - 2) / 4, 1, L // 2 - 1)
         elif state == "spin_excitation":
-            q1 = _frac_seq(Fraction(L - 1, 2), -1, L)
-            q2 = _frac_seq(-Fraction(L - 4, 4), 1, L // 2 - 1)
+            q1 = _branch_numbers((L - 1) / 2, -1, L)
+            q2 = _branch_numbers(-(L - 4) / 4, 1, L // 2 - 1)
         else:
             raise ValueError(f"unsupported even-parity state {state!r}")
         return BetheConfig(L, U, q1, q2)
 
     if state == "ground":
-        q1 = _frac_seq(Fraction(L, 2), -1, L)
-        q2 = _frac_seq(-Fraction(L - 1, 4), 1, (L - 1) // 2)
+        q1 = _branch_numbers(L / 2, -1, L)
+        q2 = _branch_numbers(-(L - 1) / 4, 1, (L - 1) // 2)
     elif state == "first_excitation":
-        q1 = _frac_seq(-Fraction(L, 2), 1, L)
-        q2 = _frac_seq(Fraction(L - 1, 4), -1, (L - 1) // 2)
+        q1 = _branch_numbers(-L / 2, 1, L)
+        q2 = _branch_numbers((L - 1) / 4, -1, (L - 1) // 2)
     elif state == "charge_excitation":
-        q1 = _frac_seq(Fraction(L - 2, 2), -1, L - 1)
-        q2 = _frac_seq(-Fraction(L - 3, 4), 1, (L - 1) // 2)
+        q1 = _branch_numbers((L - 2) / 2, -1, L - 1)
+        q2 = _branch_numbers(-(L - 3) / 4, 1, (L - 1) // 2)
     else:
         raise ValueError(f"unsupported odd-parity state {state!r}")
     return BetheConfig(L, U, q1, q2)
@@ -508,15 +507,17 @@ def ladder_sizes(L: int) -> List[int]:
     return sizes[::-1]
 
 
-def solve_state(state: str, L: int, U: float) -> BetheRoots:
-    """One tabulated state, solved along ``ladder_sizes(L)`` with each size
-    seeded by the one below.  A failed size raises its
-    ``SolverError``, and no larger size is solved.  A size outside the
-    parity classes or above ``_MAX_L``, or a U that ``BetheConfig``
-    refuses, raises ``ValueError`` before any solve; the configs are built
-    from the top down, so the error names L itself."""
-    configs = [quantum_numbers(state, size, U) for size in reversed(ladder_sizes(L))]
-    roots = None
+def solve_state(state: str, L: int, U: float, *, start: Optional[BetheRoots] = None) -> BetheRoots:
+    """One tabulated state, solved along the rungs of ``ladder_sizes(L)``
+    above ``start`` (solved roots of the same state, U and parity class
+    below L), each seeded by the one below; with no start, or one below the
+    floor rung, from the floor.  A failed size raises its ``SolverError``,
+    and no larger size is solved.  A bad size or U raises ``ValueError``
+    before any solve: the configs are built from the top down."""
+    sizes = ladder_sizes(L)
+    roots = start if start is not None and start.config.L >= sizes[0] else None
+    configs = [quantum_numbers(state, size, U) for size in reversed(sizes)
+               if roots is None or size > roots.config.L]
     for config in reversed(configs):
         roots = solve(config, seed=roots)
     return roots
@@ -554,12 +555,32 @@ def energy(roots: BetheRoots) -> float:
     return -2.0 * float(np.sum(np.cos(roots.k))) + (c.U / 2.0) * (c.L / 2.0 - len(c.q1))
 
 
-@lru_cache(maxsize=4096)
+#: roots solved by ``state_energy`` by (state, U, L), the oldest dropped first
+_ROOTS: Dict[Tuple[str, float, int], BetheRoots] = {}
+_STORE_SIZE = 4096
+_LOOKUPS = {"hits": 0, "misses": 0}
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def state_energy(state: str, L: int, U: float) -> float:
-    """Energy of one tabulated state class at (L, U), solved along its size
-    ladder; solves are pure, so repeat lookups (the estimator pipelines)
-    are cached."""
-    return energy(solve_state(state, L, U))
+    """Energy of one tabulated state class at (L, U), from stored roots: a
+    new (L, U) climbs from the largest stored size below L of the state, U
+    and parity class.  ``state_energy.cache_clear()`` drops the roots, and
+    ``cache_info()`` counts lookups as ``lru_cache`` did."""
+    roots = _ROOTS.get((state, U, L))
+    _LOOKUPS["misses" if roots is None else "hits"] += 1
+    if roots is None:
+        below = [r for (s, u, size), r in _ROOTS.items()
+                 if (s, u) == (state, U) and size < L and parity(size) == parity(L)]
+        roots = solve_state(state, L, U, start=max(below, key=lambda r: r.config.L, default=None))
+        if len(_ROOTS) >= _STORE_SIZE:
+            del _ROOTS[next(iter(_ROOTS))]
+        _ROOTS[state, U, L] = roots
+    return energy(roots)
+
+
+state_energy.cache_clear = lambda: _ROOTS.clear() or _LOOKUPS.update(hits=0, misses=0)
+state_energy.cache_info = lambda: CacheInfo(**_LOOKUPS, maxsize=_STORE_SIZE, currsize=len(_ROOTS))
 
 
 def charge_gap(L: int, U: float) -> float:
@@ -570,13 +591,22 @@ def charge_gap(L: int, U: float) -> float:
     Odd L: E0((L-1)/2, (L-1)/2) - E0((L+1)/2, (L-1)/2).
 
     A multiple of four raises ``ValueError`` before any solve.  The ground
-    state is solved along its size ladder, and the charge excitation once,
-    at L, seeded from the ground roots at L.  Neither energy goes through
-    the ``state_energy`` cache.
+    state climbs its whole size ladder, and the charge excitation is solved
+    once, at L, seeded from the ground roots: no roots are reused or stored.
     """
-    ground = solve_state("ground", L, U)
-    excitation = solve(quantum_numbers("charge_excitation", L, U), seed=ground)
-    return energy(excitation) - energy(ground)
+    return charge_gaps([L], U)[L]
+
+
+def charge_gaps(sizes: Sequence[int], U: float) -> Dict[int, float]:
+    """``charge_gap`` at sizes of one parity class, as {L: gap} in the order
+    given: each ground state climbs from the ground roots of the next
+    smaller size.  No roots are stored."""
+    gaps, ground = {}, None
+    for L in sorted(set(sizes)):
+        ground = solve_state("ground", L, U, start=ground)
+        excitation = solve(quantum_numbers("charge_excitation", L, U), seed=ground)
+        gaps[L] = energy(excitation) - energy(ground)
+    return {L: gaps[L] for L in sizes}
 
 
 def l2_closed_forms(U: float) -> List[dict]:
@@ -635,7 +665,7 @@ def _twisted_heisenberg_solve(n: int, targets: np.ndarray) -> np.ndarray:
     return lam
 
 
-def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
+def strong_coupling_check(L: int, n: float, U: float) -> float:
     """Deviation of the rescaled spin rapidities from the twisted-chain roots.
 
     Solves the full equations in the half-filled sector with spin imbalance
@@ -646,10 +676,9 @@ def strong_coupling_check(L: int, n: Fraction, U: float) -> float:
         raise ValueError("strong-coupling check is set up for odd L")
     if U < 50:
         raise ValueError("strong-coupling check expects U >= 50")
-    n = Fraction(n)
-    if (2 * n).denominator != 1 or (2 * n).numerator % 2 == 0 or n <= 0:
+    if n <= 0 or 2 * n != int(2 * n) or int(2 * n) % 2 == 0:
         raise ValueError("spin imbalance n must be a positive half-odd integer")
-    n_down = int(Fraction(L, 2) - n)
+    n_down = (L - int(2 * n)) // 2
     if n_down <= 0:
         raise ValueError("sector has no spin rapidities")
     ground = quantum_numbers("ground", L, U)

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargepair import bethe, cli
+from chargepair import bethe, cli, reference_tables
 from chargepair.bethe import (
     BetheConfig,
     BetheRoots,
@@ -109,16 +110,24 @@ class TestQuantumNumbers:
     @given(st.one_of(st.integers(0, 550).map(lambda j: (2 * j + 1, bethe.STATES_ODD)),
                      st.integers(0, 275).map(lambda j: (4 * j + 2, bethe.STATES_EVEN))))
     def test_branch_numbers_equal_fraction_sums(self, case):
+        # Fraction(x) is the exact value of the float x: each branch number,
+        # and so each target, carries no rounding
         L, states = case
         for state in states:
             cfg = quantum_numbers(state, L, 2.0)
-            for q, (start, step, count) in zip((cfg.q1, cfg.q2), _BRANCH_STARTS[state](L)):
-                assert q == tuple(start + step * j for j in range(count))
-                assert all(type(x) is Fraction for x in q)
+            levels = zip((cfg.q1, cfg.q2), _BRANCH_STARTS[state](L), cfg.targets, cfg.shifts)
+            for q, (start, step, count), a, shift in levels:
+                exact = [start + step * j for j in range(count)]
+                assert all(type(x) is float for x in q)
+                assert [Fraction(x) for x in q] == exact
+                assert a.tolist() == [2.0 * np.pi * (float(x) + shift) for x in exact]
 
-    @given(st.fractions(max_denominator=8), st.sampled_from([-1, 1]), st.integers(0, 40))
-    def test_frac_seq_equals_fraction_sums(self, start, step, count):
-        assert bethe._frac_seq(start, step, count) == tuple(start + step * j for j in range(count))
+    @given(st.integers(-4 * bethe._MAX_L, 4 * bethe._MAX_L).map(lambda n: Fraction(n, 4)),
+           st.sampled_from([-1, 1]), st.integers(0, 40))
+    def test_branch_number_builder_equals_fraction_sums(self, start, step, count):
+        q = bethe._branch_numbers(float(start), step, count)
+        assert type(q) is tuple and all(type(x) is float for x in q)
+        assert [Fraction(x) for x in q] == [start + step * j for j in range(count)]
 
     @pytest.mark.parametrize("state,L", [("ground", 13), ("charge_excitation", 14),
                                          ("first_excitation", 385), ("spin_excitation", 62)])
@@ -727,6 +736,85 @@ class TestChargeGap:
             charge_gap(8, 2.0)
         with pytest.raises(ValueError, match="2 \\(mod 4\\)"):
             charge_gap(64, 2.0)
+
+
+def _spy_solve(monkeypatch):
+    """(config.L, seed size or None) of every ``bethe.solve`` call, in order."""
+    original, calls = bethe.solve, []
+
+    def spy(config, *, seed=None):
+        calls.append((config.L, seed.config.L if seed else None))
+        return original(config, seed=seed)
+
+    monkeypatch.setattr(bethe, "solve", spy)
+    return calls
+
+
+class TestStateEnergyStore:
+    @pytest.mark.parametrize("state", ["ground", "first_excitation"])
+    def test_table_columns_climb_to_the_fresh_energies(self, monkeypatch, state):
+        # the columns of tables 8/9 at U = 2: each size climbs from the one
+        # below it, at the target coupling only, to the energy of a ladder
+        # solved from the floor
+        sizes = [L for L in reference_tables.ODD_SIZES if L <= 385]
+        newton, couplings = bethe._newton, []
+
+        def spy(k, mu, cfg):
+            couplings.append(cfg.U)
+            return newton(k, mu, cfg)
+
+        monkeypatch.setattr(bethe, "_newton", spy)
+        stored = [bethe.state_energy(state, L, 2.0) for L in sizes]
+        assert set(couplings) == {2.0}
+        monkeypatch.setattr(bethe, "_newton", newton)
+        for L, e in zip(sizes, stored):
+            assert abs(e - energy(solve_state(state, L, 2.0))) <= 1e-12
+
+    def test_each_size_climbs_from_the_largest_stored_one_below(self, monkeypatch):
+        calls = _spy_solve(monkeypatch)
+        bethe.state_energy("ground", 65, 2.0)
+        assert calls == [(31, None), (65, 31)]
+        del calls[:]
+        bethe.state_energy("ground", 225, 2.0)
+        bethe.state_energy("ground", 145, 2.0)
+        assert calls == [(111, 65), (225, 111), (71, 65), (145, 71)]
+        del calls[:]
+        # an even size climbs its own class, and a repeat solves nothing
+        bethe.state_energy("ground", 142, 2.0)
+        bethe.state_energy("ground", 145, 2.0)
+        assert [L for L, _ in calls] == bethe.ladder_sizes(142)
+
+    def test_cache_clear_drops_the_roots(self, monkeypatch):
+        bethe.state_energy("ground", 65, 2.0)
+        bethe.state_energy.cache_clear()
+        calls = _spy_solve(monkeypatch)
+        bethe.state_energy("ground", 145, 2.0)
+        assert [L for L, _ in calls] == bethe.ladder_sizes(145)
+        assert calls[0] == (bethe.ladder_sizes(145)[0], None)
+
+    def test_cache_info_counts_as_lru_cache(self):
+        reference = lru_cache(maxsize=4096)(lambda state, L, U: 0.0)
+        lookups = [("ground", 13, 2.0), ("ground", 13, 2.0), ("ground", 27, 2.0),
+                   ("first_excitation", 13, 2.0), ("ground", 13, 3.0), ("ground", 13, 2),
+                   ("ground", 27, 2.0), ("ground", 14, 2.0)]
+        for i, args in enumerate(lookups):
+            bethe.state_energy(*args)
+            reference(*args)
+            assert bethe.state_energy.cache_info() == reference.cache_info(), i
+        bethe.state_energy.cache_clear()
+        reference.cache_clear()
+        assert bethe.state_energy.cache_info() == reference.cache_info()
+        assert bethe.state_energy.cache_info().hits == 0
+
+    def test_store_drops_its_oldest_roots_when_full(self, monkeypatch):
+        monkeypatch.setattr(bethe, "_STORE_SIZE", 2)
+        for L in (5, 7, 9):
+            bethe.state_energy("ground", L, 2.0)
+        assert bethe.state_energy.cache_info().currsize == 2
+        calls = _spy_solve(monkeypatch)
+        bethe.state_energy("ground", 9, 2.0)
+        bethe.state_energy("ground", 5, 2.0)
+        assert calls == [(5, None)]
 
 
 class TestClosedForms:

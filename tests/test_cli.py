@@ -203,6 +203,28 @@ class TestReproduce:
         assert code == 0
         assert res["json"]["deviations"][0]["scored"]
 
+    @pytest.mark.parametrize("table,sizes", [("table4", [62, 142, 222]),
+                                             ("table7", [65, 145, 225])])
+    def test_gap_column_climbs_each_ground_rung_once(self, monkeypatch, tmp_path, table, sizes):
+        expected = {L: bethe.charge_gap(L, 2.0) for L in sizes}
+        original, solved = bethe.solve, []
+
+        def spy(config, *, seed=None):
+            solved.append(config)
+            return original(config, seed=seed)
+
+        monkeypatch.setattr(bethe, "solve", spy)
+        code, res = run(["reproduce", table, "--U", "2", "--sizes", ",".join(map(str, sizes))],
+                        tmp_path)
+        assert code == 0
+        for row in res["json"]["rows"]:
+            assert abs(row["computed"] - expected[row["L"]]) <= 1e-12
+        ground = [c.L for c in solved if c == bethe.quantum_numbers("ground", c.L, 2.0)]
+        rungs = [size for below, L in zip([0] + sizes, sizes)
+                 for size in bethe.ladder_sizes(L) if size > below]
+        assert ground == rungs
+        assert len(solved) == len(rungs) + len(sizes)
+
     def test_table8_trimmed(self, tmp_path):
         code, res = run(
             ["reproduce", "table8", "--U", "3", "--sizes", "65,145,225"], tmp_path
@@ -238,7 +260,7 @@ class TestExitCodes:
         def no_branch_numbers(*args, **kwargs):
             raise AssertionError("built branch numbers above the size limit")
 
-        monkeypatch.setattr(bethe, "_frac_seq", no_branch_numbers)
+        monkeypatch.setattr(bethe, "_branch_numbers", no_branch_numbers)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"L={argv[argv.index('--L') + 1]}" in err and str(bethe._MAX_L) in err
