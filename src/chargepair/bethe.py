@@ -19,7 +19,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -507,17 +507,13 @@ def ladder_sizes(L: int) -> List[int]:
     return sizes[::-1]
 
 
-def solve_state(state: str, L: int, U: float, *, start: Optional[BetheRoots] = None) -> BetheRoots:
-    """One tabulated state, solved along the rungs of ``ladder_sizes(L)``
-    above ``start`` (solved roots of the same state, U and parity class
-    below L), each seeded by the one below; with no start, or one below the
-    floor rung, from the floor.  A failed size raises its ``SolverError``,
-    and no larger size is solved.  A bad size or U raises ``ValueError``
-    before any solve: the configs are built from the top down."""
-    sizes = ladder_sizes(L)
-    roots = start if start is not None and start.config.L >= sizes[0] else None
-    configs = [quantum_numbers(state, size, U) for size in reversed(sizes)
-               if roots is None or size > roots.config.L]
+def solve_state(state: str, L: int, U: float) -> BetheRoots:
+    """One tabulated state, solved along ``ladder_sizes(L)`` from the floor,
+    each size seeded by the one below.  A failed size raises its
+    ``SolverError``, and no larger size is solved.  A bad size or U raises
+    ``ValueError`` before any solve: the configs are built from the top down."""
+    configs = [quantum_numbers(state, size, U) for size in reversed(ladder_sizes(L))]
+    roots = None
     for config in reversed(configs):
         roots = solve(config, seed=roots)
     return roots
@@ -561,18 +557,28 @@ _STORE_SIZE = 4096
 _LOOKUPS = {"hits": 0, "misses": 0}
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
+#: a stored size seeds its state at sizes up to this many times larger.  Table
+#: columns step by at most 2.29x (62 -> 142); a 17x seed (62 -> 1038 at
+#: U = 0.5) stalled, and its continuation in U failed after 8 s.
+_SEED_RATIO = 2.5
+
 
 def state_energy(state: str, L: int, U: float) -> float:
-    """Energy of one tabulated state class at (L, U), from stored roots: a
-    new (L, U) climbs from the largest stored size below L of the state, U
-    and parity class.  ``state_energy.cache_clear()`` drops the roots, and
+    """Energy of one tabulated state class at (L, U), from stored roots.  A
+    new (state, U, L) is one ``solve`` seeded by the stored ground at (U, L),
+    else by the state's largest stored size of L's class at most
+    ``_SEED_RATIO`` times below L; with neither, ``solve_state`` climbs from
+    the floor.  ``state_energy.cache_clear()`` drops the roots, and
     ``cache_info()`` counts lookups as ``lru_cache`` did."""
     roots = _ROOTS.get((state, U, L))
     _LOOKUPS["misses" if roots is None else "hits"] += 1
     if roots is None:
-        below = [r for (s, u, size), r in _ROOTS.items()
-                 if (s, u) == (state, U) and size < L and parity(size) == parity(L)]
-        roots = solve_state(state, L, U, start=max(below, key=lambda r: r.config.L, default=None))
+        seed = _ROOTS.get(("ground", U, L)) or max(
+            (r for (s, u, size), r in _ROOTS.items() if (s, u) == (state, U)
+             and size < L <= size * _SEED_RATIO and size % 2 == L % 2),
+            key=lambda r: r.config.L, default=None)
+        roots = (solve_state(state, L, U) if seed is None
+                 else solve(quantum_numbers(state, L, U), seed=seed))
         if len(_ROOTS) >= _STORE_SIZE:
             del _ROOTS[next(iter(_ROOTS))]
         _ROOTS[state, U, L] = roots
@@ -590,23 +596,12 @@ def charge_gap(L: int, U: float) -> float:
     Even L (L = 2 (mod 4)): E0(L/2, L/2-1) - E0(L/2, L/2).
     Odd L: E0((L-1)/2, (L-1)/2) - E0((L+1)/2, (L-1)/2).
 
-    A multiple of four raises ``ValueError`` before any solve.  The ground
-    state climbs its whole size ladder, and the charge excitation is solved
-    once, at L, seeded from the ground roots: no roots are reused or stored.
+    A multiple of four raises ``ValueError`` before any solve.  Both
+    energies come from ``state_energy``, the ground first, so the charge
+    excitation is seeded from the ground roots at L.
     """
-    return charge_gaps([L], U)[L]
-
-
-def charge_gaps(sizes: Sequence[int], U: float) -> Dict[int, float]:
-    """``charge_gap`` at sizes of one parity class, as {L: gap} in the order
-    given: each ground state climbs from the ground roots of the next
-    smaller size.  No roots are stored."""
-    gaps, ground = {}, None
-    for L in sorted(set(sizes)):
-        ground = solve_state("ground", L, U, start=ground)
-        excitation = solve(quantum_numbers("charge_excitation", L, U), seed=ground)
-        gaps[L] = energy(excitation) - energy(ground)
-    return {L: gaps[L] for L in sizes}
+    e0 = state_energy("ground", L, U)
+    return state_energy("charge_excitation", L, U) - e0
 
 
 def l2_closed_forms(U: float) -> List[dict]:

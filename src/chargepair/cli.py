@@ -190,14 +190,16 @@ def cmd_transfer(args) -> List[Dict]:
 
 
 def _column(table: str, U: float, sizes: List[int]) -> Dict[int, float]:
-    """One coupling column of a table as {L: value}, solved bottom-up.  Tables
-    8/9 eliminate the log amplitude between consecutive sizes, so their
-    column starts at the second size."""
+    """One coupling column of a table as {L: value}, in the order of
+    ``sizes``.  Every energy comes from ``bethe.state_energy`` and the sizes
+    are solved in ascending order, so each is seeded from a smaller one of
+    the column.  Tables 8/9 eliminate the log amplitude between consecutive
+    sizes, so their column starts at the second size."""
     if table in ("table8", "table9"):
         return dict(fss.scaling_dimension_series(int(table == "table9"), sizes, U).points)
-    if table == "table5":
-        return {L: fss.central_charge_estimator(L, U) for L in sizes}
-    return bethe.charge_gaps(sizes, U)
+    value = fss.central_charge_estimator if table == "table5" else bethe.charge_gap
+    column = {L: value(L, U) for L in sorted(sizes)}
+    return {L: column[L] for L in sizes}
 
 
 def cmd_reproduce(args) -> tuple:

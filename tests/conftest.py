@@ -6,7 +6,7 @@ from chargepair import bethe
 @pytest.fixture(autouse=True)
 def empty_root_store():
     """Every test starts with no stored Bethe roots: a size that
-    ``bethe.state_energy`` looks up climbs from the roots an earlier test
+    ``bethe.state_energy`` looks up is seeded from the roots an earlier test
     left behind, so a pinned rung path or a stored energy compared with a
     ladder solve would depend on the order the tests run in."""
     bethe.state_energy.cache_clear()

@@ -656,11 +656,7 @@ class TestChargeGap:
             calls.append((config, seed))
             return original(config, seed=seed)
 
-        def no_cache(*args):
-            raise AssertionError("the gap went through the state_energy cache")
-
         monkeypatch.setattr(bethe, "solve", spy)
-        monkeypatch.setattr(bethe, "state_energy", no_cache)
         charge_gap(L, 2.0)
         ladder = bethe.ladder_sizes(L)
         assert len(calls) == len(ladder) + 1
@@ -687,8 +683,10 @@ class TestChargeGap:
     def test_repeat_gap_faults_in_no_temporaries(self):
         # the Newton kernels reuse their scratch: a second gap touches no fresh
         # pages, where new temporaries per call cost about 4 800 minor faults
+        # (the store is emptied first, or the second gap would solve nothing)
         resource = pytest.importorskip("resource")
         charge_gap(385, 4.0)
+        bethe.state_energy.cache_clear()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         charge_gap(385, 4.0)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
@@ -753,9 +751,9 @@ def _spy_solve(monkeypatch):
 class TestStateEnergyStore:
     @pytest.mark.parametrize("state", ["ground", "first_excitation"])
     def test_table_columns_climb_to_the_fresh_energies(self, monkeypatch, state):
-        # the columns of tables 8/9 at U = 2: each size climbs from the one
-        # below it, at the target coupling only, to the energy of a ladder
-        # solved from the floor
+        # the columns of tables 8/9 at U = 2: each size is seeded from the
+        # one below it, at the target coupling only, and reaches the energy
+        # of a ladder solved from the floor
         sizes = [L for L in reference_tables.ODD_SIZES if L <= 385]
         newton, couplings = bethe._newton, []
 
@@ -775,14 +773,35 @@ class TestStateEnergyStore:
         bethe.state_energy("ground", 65, 2.0)
         assert calls == [(31, None), (65, 31)]
         del calls[:]
-        bethe.state_energy("ground", 225, 2.0)
+        # a stored size seeds up to _SEED_RATIO = 2.5 times above it directly
         bethe.state_energy("ground", 145, 2.0)
-        assert calls == [(111, 65), (225, 111), (71, 65), (145, 71)]
+        bethe.state_energy("ground", 225, 2.0)
+        assert calls == [(145, 65), (225, 145)]
         del calls[:]
         # an even size climbs its own class, and a repeat solves nothing
         bethe.state_energy("ground", 142, 2.0)
         bethe.state_energy("ground", 145, 2.0)
         assert [L for L, _ in calls] == bethe.ladder_sizes(142)
+        assert calls[0] == (bethe.ladder_sizes(142)[0], None)
+        del calls[:]
+        # a size more than 2.5 times above every stored one climbs from the floor
+        bethe.state_energy("ground", 625, 2.0)
+        ladder = bethe.ladder_sizes(625)
+        assert calls == list(zip(ladder, [None] + ladder[:-1]))
+        del calls[:]
+        # another state at a stored ground's size is one solve seeded from
+        # that ground, the only roots stored at L = 225
+        bethe.state_energy("first_excitation", 225, 2.0)
+        assert calls == [(225, 225)]
+
+    def test_seed_more_than_the_ratio_below_is_not_used(self, monkeypatch):
+        # at U = 0.5 a 17x seed (62 -> 1038) stalls, and the continuation in U
+        # that follows fails after seconds: the size climbs its own ladder
+        bethe.state_energy("ground", 62, 0.5)
+        calls = _spy_solve(monkeypatch)
+        bethe.state_energy("ground", 1038, 0.5)
+        ladder = bethe.ladder_sizes(1038)
+        assert calls == list(zip(ladder, [None] + ladder[:-1]))
 
     def test_cache_clear_drops_the_roots(self, monkeypatch):
         bethe.state_energy("ground", 65, 2.0)

@@ -1,9 +1,10 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from chargepair import bethe, cli, models, spectra
+from chargepair import bethe, cli, models, reference_tables, spectra
 
 
 def run(argv, tmp_path, name="run", fmt="both"):
@@ -204,26 +205,58 @@ class TestReproduce:
         assert res["json"]["deviations"][0]["scored"]
 
     @pytest.mark.parametrize("table,sizes", [("table4", [62, 142, 222]),
-                                             ("table7", [65, 145, 225])])
+                                             ("table7", [65, 145, 225]),
+                                             ("table7", [225, 145, 65])])
     def test_gap_column_climbs_each_ground_rung_once(self, monkeypatch, tmp_path, table, sizes):
-        expected = {L: bethe.charge_gap(L, 2.0) for L in sizes}
+        # the smallest size climbs the ground ladder and seeds its
+        # excitation; each larger size is one ground solve seeded from the
+        # size below and one excitation solve seeded from that ground.  The
+        # rows keep the order of --sizes.
+        expected = {}
+        for L in sizes:
+            bethe.state_energy.cache_clear()
+            expected[L] = bethe.charge_gap(L, 2.0)
+        bethe.state_energy.cache_clear()
         original, solved = bethe.solve, []
 
         def spy(config, *, seed=None):
-            solved.append(config)
+            solved.append((config, seed.config if seed else None))
             return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", spy)
         code, res = run(["reproduce", table, "--U", "2", "--sizes", ",".join(map(str, sizes))],
                         tmp_path)
         assert code == 0
+        assert [row["L"] for row in res["json"]["rows"]] == sizes
         for row in res["json"]["rows"]:
             assert abs(row["computed"] - expected[row["L"]]) <= 1e-12
-        ground = [c.L for c in solved if c == bethe.quantum_numbers("ground", c.L, 2.0)]
-        rungs = [size for below, L in zip([0] + sizes, sizes)
-                 for size in bethe.ladder_sizes(L) if size > below]
-        assert ground == rungs
-        assert len(solved) == len(rungs) + len(sizes)
+        config = partial(bethe.quantum_numbers, U=2.0)
+        ascending = sorted(sizes)
+        ladder = [config("ground", L) for L in bethe.ladder_sizes(ascending[0])]
+        path = list(zip(ladder, [None] + ladder[:-1]))
+        path.append((config("charge_excitation", ascending[0]), ladder[-1]))
+        for below, L in zip(ascending, ascending[1:]):
+            path.append((config("ground", L), config("ground", below)))
+            path.append((config("charge_excitation", L), config("ground", L)))
+        assert solved == path
+
+    @pytest.mark.parametrize("table", ["table4", "table7"])
+    def test_full_gap_column_at_the_target_coupling(self, monkeypatch, tmp_path, table):
+        # all eight sizes up to L = 1038 through the store, with no fallback
+        # to continuation in U
+        newton, couplings = bethe._newton, set()
+
+        def spy(k, mu, cfg):
+            couplings.add(cfg.U)
+            return newton(k, mu, cfg)
+
+        monkeypatch.setattr(bethe, "_newton", spy)
+        code, res = run(["reproduce", table, "--U", "2"], tmp_path)
+        assert code == 0
+        assert couplings == {2.0}
+        devs = res["json"]["deviations"]
+        assert [d["L"] for d in devs] == sorted(reference_tables.TABLES[table][2.0])
+        assert all(d["deviation"] <= 1e-8 for d in devs if d["scored"])
 
     def test_table8_trimmed(self, tmp_path):
         code, res = run(
