@@ -1,9 +1,11 @@
-"""Path sweep of the Bethe size ladder: how each rung of ``solve_state`` is solved.
+"""Path sweep of the Bethe size ladder: how each rung of ``state_roots`` is solved.
 
 For the six tabulated states (three per parity class) at every U in
-``COUPLINGS``, solves ``bethe.solve_state(state, L, U)`` for every table size
-of the state's class, plus L = 514 for the even states, under a wall-time cap
-per case.  Each rung of the ladder prints one CSV line
+``COUPLINGS``, empties the root store and solves
+``bethe.state_roots(state, L, U)`` for every table size of the state's class,
+plus L = 514 for the even states, under a wall-time cap per case, so that
+each case climbs its whole ladder from the floor.  Each rung of the ladder
+prints one CSV line
 
     state,U,L,rung,path,iterations,stalled
 
@@ -90,9 +92,10 @@ def main() -> int:
     for U in couplings:
         for state, L in CASES:
             calls.clear()
+            bethe.state_energy.cache_clear()
             signal.setitimer(signal.ITIMER_REAL, args.cap)
             try:
-                bethe.solve_state(state, L, U)
+                bethe.state_roots(state, L, U)
                 status = None
             except bethe.SolverError:
                 status = "failed"

@@ -507,18 +507,6 @@ def ladder_sizes(L: int) -> List[int]:
     return sizes[::-1]
 
 
-def solve_state(state: str, L: int, U: float) -> BetheRoots:
-    """One tabulated state, solved along ``ladder_sizes(L)`` from the floor,
-    each size seeded by the one below.  A failed size raises its
-    ``SolverError``, and no larger size is solved.  A bad size or U raises
-    ``ValueError`` before any solve: the configs are built from the top down."""
-    configs = [quantum_numbers(state, size, U) for size in reversed(ladder_sizes(L))]
-    roots = None
-    for config in reversed(configs):
-        roots = solve(config, seed=roots)
-    return roots
-
-
 def _validated_roots(
     k: np.ndarray, mu: np.ndarray, config: BetheConfig, res: float, its: int
 ) -> BetheRoots:
@@ -551,7 +539,7 @@ def energy(roots: BetheRoots) -> float:
     return -2.0 * float(np.sum(np.cos(roots.k))) + (c.U / 2.0) * (c.L / 2.0 - len(c.q1))
 
 
-#: roots solved by ``state_energy`` by (state, U, L), the oldest dropped first
+#: roots solved by ``state_roots`` by (state, U, L), the oldest dropped first
 _ROOTS: Dict[Tuple[str, float, int], BetheRoots] = {}
 _STORE_SIZE = 4096
 _LOOKUPS = {"hits": 0, "misses": 0}
@@ -563,26 +551,36 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 _SEED_RATIO = 2.5
 
 
-def state_energy(state: str, L: int, U: float) -> float:
-    """Energy of one tabulated state class at (L, U), from stored roots.  A
-    new (state, U, L) is one ``solve`` seeded by the stored ground at (U, L),
-    else by the state's largest stored size of L's class at most
-    ``_SEED_RATIO`` times below L; with neither, ``solve_state`` climbs from
-    the floor.  ``state_energy.cache_clear()`` drops the roots, and
-    ``cache_info()`` counts lookups as ``lru_cache`` did."""
+def state_roots(state: str, L: int, U: float) -> BetheRoots:
+    """Roots of one tabulated state class at (L, U), from the root store.  A
+    new (state, U, L) is one ``solve``, stored, seeded by the stored ground at
+    (U, L), else by the state's largest stored size of L's class at most
+    ``_SEED_RATIO`` times below L, else, above ``_LADDER_FLOOR``, by
+    ``state_roots`` at the rung below L on ``ladder_sizes(L)``; else it starts
+    from the decoupled guess.  A bad size or U raises ``ValueError`` before any
+    solve, and a failed rung raises before any larger size is solved."""
     roots = _ROOTS.get((state, U, L))
-    _LOOKUPS["misses" if roots is None else "hits"] += 1
     if roots is None:
+        config = quantum_numbers(state, L, U)
         seed = _ROOTS.get(("ground", U, L)) or max(
             (r for (s, u, size), r in _ROOTS.items() if (s, u) == (state, U)
              and size < L <= size * _SEED_RATIO and size % 2 == L % 2),
             key=lambda r: r.config.L, default=None)
-        roots = (solve_state(state, L, U) if seed is None
-                 else solve(quantum_numbers(state, L, U), seed=seed))
+        if seed is None and L > _LADDER_FLOOR:
+            seed = state_roots(state, ladder_sizes(L)[-2], U)
+        roots = solve(config, seed=seed)
         if len(_ROOTS) >= _STORE_SIZE:
             del _ROOTS[next(iter(_ROOTS))]
         _ROOTS[state, U, L] = roots
-    return energy(roots)
+    return roots
+
+
+def state_energy(state: str, L: int, U: float) -> float:
+    """Energy of ``state_roots(state, L, U)``.  ``state_energy.cache_clear()``
+    drops the stored roots, and ``cache_info()`` counts the lookups of
+    ``state_energy`` as ``lru_cache`` did."""
+    _LOOKUPS["hits" if (state, U, L) in _ROOTS else "misses"] += 1
+    return energy(state_roots(state, L, U))
 
 
 state_energy.cache_clear = lambda: _ROOTS.clear() or _LOOKUPS.update(hits=0, misses=0)

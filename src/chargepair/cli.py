@@ -114,7 +114,7 @@ def cmd_compare(args) -> List[Dict]:
 
 
 def cmd_bethe(args) -> List[Dict]:
-    roots = bethe.solve_state(args.state, args.L, args.U)
+    roots = bethe.state_roots(args.state, args.L, args.U)
     e = bethe.energy(roots)
     rows = [{"quantity": "energy", "index": 0, "value": e},
             {"quantity": "residual_norm", "index": 0, "value": roots.residual_norm},

@@ -18,7 +18,7 @@ from chargepair.bethe import (
     l2_closed_forms,
     quantum_numbers,
     solve,
-    solve_state,
+    state_roots,
 )
 from chargepair.fock import Sector
 from chargepair.models import ModelParams, build_model
@@ -242,7 +242,7 @@ class TestResidual:
     def test_one_theta1_residual_is_bit_identical(self, state, L):
         cfg = quantum_numbers(state, L, 2.0)
         rng = np.random.default_rng(L)
-        roots = solve_state(state, L, 2.0)
+        roots = state_roots(state, L, 2.0)
         points = [(roots.k, roots.mu),
                   (rng.uniform(-np.pi, np.pi, len(cfg.q1)), rng.normal(size=len(cfg.q2)))]
         for k, mu in points:
@@ -263,7 +263,7 @@ class TestResidual:
     def test_in_place_kernels_are_bit_identical(self, state, L, U):
         cfg = quantum_numbers(state, L, U)
         rng = np.random.default_rng(L + 7)
-        roots = solve_state(state, L, U)
+        roots = state_roots(state, L, U)
         n, m = len(cfg.q1), len(cfg.q2)
         points = [(roots.k, roots.mu),
                   (rng.uniform(-np.pi, np.pi, n), rng.normal(size=m)),
@@ -442,7 +442,7 @@ class TestSolve:
     def test_paths_that_fail_raise_the_last_error(self, monkeypatch):
         # at U >= 20 the continuation would start at the target itself, so
         # the direct attempt is the only path and runs once
-        seed = solve_state("ground", 6, 30.0)
+        seed = state_roots("ground", 6, 30.0)
         calls = []
 
         def stall(k, mu, config):
@@ -465,7 +465,7 @@ class TestSolve:
 
 
     def test_seeded_solve_at_its_coupling_builds_no_config(self, monkeypatch):
-        seed = solve_state("ground", 65, 2.0)
+        seed = state_roots("ground", 65, 2.0)
         config = quantum_numbers("ground", 129, 2.0)
         post_init = BetheConfig.__post_init__
         built = []
@@ -507,7 +507,7 @@ class TestLadder:
             return newton(k, mu, cfg)
 
         monkeypatch.setattr(bethe, "_newton", spy)
-        roots = solve_state(state, L, U)
+        roots = state_roots(state, L, U)
         assert roots.config == config
         # the size seed converged: the target size ran one Newton solve
         assert at_target == [U]
@@ -515,7 +515,7 @@ class TestLadder:
 
     def test_stalled_size_seed_falls_back_to_continuation(self, monkeypatch):
         config = quantum_numbers("ground", 65, 2.0)
-        seed = solve_state("ground", 31, 2.0)
+        seed = state_roots("ground", 31, 2.0)
         unseeded = solve(config)
         newton = bethe._newton
         starts = []
@@ -550,18 +550,18 @@ class TestLadder:
             return newton(k, mu, cfg)
 
         monkeypatch.setattr(bethe, "_newton", spy)
-        roots = solve_state("ground", 302, 0.5)
+        roots = state_roots("ground", 302, 0.5)
         above_floor = [(size, u) for size, u in runs if size > bethe._LADDER_FLOOR]
         assert above_floor == [(size, 0.5) for size in bethe.ladder_sizes(302)[1:]]
         assert abs(energy(roots) - -385.79099058585325) <= 1e-12
 
     @pytest.mark.parametrize("L,U", [(385, 4.0), (225, 2.0)])
     def test_top_rung_takes_three_iterations(self, L, U):
-        assert solve_state("ground", L, U).iterations <= 3
+        assert state_roots("ground", L, U).iterations <= 3
 
     @pytest.mark.parametrize("state,L,U", [("ground", 225, 2.0), ("charge_excitation", 385, 4.0)])
     def test_relaxed_seed_keeps_order_and_lowers_the_residual(self, monkeypatch, state, L, U):
-        below = solve_state(state, bethe.ladder_sizes(L)[-2], U)
+        below = state_roots(state, bethe.ladder_sizes(L)[-2], U)
         config = quantum_numbers(state, L, U)
         k, mu = bethe._size_seed(config, below)
         monkeypatch.setattr(bethe, "_relax_edges", lambda k, mu, config: (k, mu))
@@ -587,7 +587,7 @@ class TestLadder:
 
         monkeypatch.setattr(bethe, "solve", fail_at_115)
         with pytest.raises(SolverError, match="stalled at 115") as err:
-            solve_state("ground", 465, 4.0)
+            state_roots("ground", 465, 4.0)
         assert err.value.residual == 1.0
         assert calls == [(27, None), (57, 27), (115, 57)]
 
@@ -601,8 +601,15 @@ class TestLadder:
 
         monkeypatch.setattr(bethe, "solve", fail_at_target)
         with pytest.raises(SolverError, match="target") as err:
-            solve_state("ground", 145, 2.0)
+            state_roots("ground", 145, 2.0)
         assert err.value.residual == 2.0
+
+    @pytest.mark.parametrize("state,U", [("ground", float("nan")), ("spin_excitation", 2.0)])
+    def test_bad_input_above_the_floor_raises_before_any_rung(self, monkeypatch, state, U):
+        calls = _spy_solve(monkeypatch)
+        with pytest.raises(ValueError):
+            state_roots(state, 1025, U)
+        assert calls == []
 
     def test_small_sizes_solve_once_unseeded(self, monkeypatch):
         calls = []
@@ -613,7 +620,7 @@ class TestLadder:
             return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", spy)
-        roots = solve_state("charge_excitation", 33, 2.0)
+        roots = state_roots("charge_excitation", 33, 2.0)
         assert calls == [(33, None)]
         direct = original(roots.config)
         assert np.array_equal(roots.k, direct.k) and np.array_equal(roots.mu, direct.mu)
@@ -766,7 +773,8 @@ class TestStateEnergyStore:
         assert set(couplings) == {2.0}
         monkeypatch.setattr(bethe, "_newton", newton)
         for L, e in zip(sizes, stored):
-            assert abs(e - energy(solve_state(state, L, 2.0))) <= 1e-12
+            bethe.state_energy.cache_clear()
+            assert abs(e - energy(state_roots(state, L, 2.0))) <= 1e-12
 
     def test_each_size_climbs_from_the_largest_stored_one_below(self, monkeypatch):
         calls = _spy_solve(monkeypatch)
@@ -775,19 +783,22 @@ class TestStateEnergyStore:
         del calls[:]
         # a stored size seeds up to _SEED_RATIO = 2.5 times above it directly
         bethe.state_energy("ground", 145, 2.0)
+        assert calls == [(145, 65)]
+        del calls[:]
         bethe.state_energy("ground", 225, 2.0)
-        assert calls == [(145, 65), (225, 145)]
+        assert calls == [(225, 145)]
         del calls[:]
-        # an even size climbs its own class, and a repeat solves nothing
+        # an even size climbs its own class from the floor, and a repeat
+        # solves nothing
         bethe.state_energy("ground", 142, 2.0)
-        bethe.state_energy("ground", 145, 2.0)
-        assert [L for L, _ in calls] == bethe.ladder_sizes(142)
-        assert calls[0] == (bethe.ladder_sizes(142)[0], None)
+        assert calls == [(14, None), (34, 14), (70, 34), (142, 70)]
         del calls[:]
-        # a size more than 2.5 times above every stored one climbs from the floor
+        bethe.state_energy("ground", 145, 2.0)
+        assert calls == []
+        # a size more than 2.5 times above every stored one climbs its ladder
+        # down only to the first rung a stored size seeds
         bethe.state_energy("ground", 625, 2.0)
-        ladder = bethe.ladder_sizes(625)
-        assert calls == list(zip(ladder, [None] + ladder[:-1]))
+        assert calls == [(311, 225), (625, 311)]
         del calls[:]
         # another state at a stored ground's size is one solve seeded from
         # that ground, the only roots stored at L = 225
@@ -797,11 +808,30 @@ class TestStateEnergyStore:
     def test_seed_more_than_the_ratio_below_is_not_used(self, monkeypatch):
         # at U = 0.5 a 17x seed (62 -> 1038) stalls, and the continuation in U
         # that follows fails after seconds: the size climbs its own ladder
+        # down to the first rung that 62 seeds within the ratio
         bethe.state_energy("ground", 62, 0.5)
         calls = _spy_solve(monkeypatch)
         bethe.state_energy("ground", 1038, 0.5)
-        ladder = bethe.ladder_sizes(1038)
-        assert calls == list(zip(ladder, [None] + ladder[:-1]))
+        assert calls == [(126, 62), (258, 126), (518, 258), (1038, 518)]
+
+    def test_rungs_of_a_climb_are_stored(self, monkeypatch):
+        # L = 62 is a rung of the L = 1038 ladder: the second gap solves only
+        # its excitation, seeded from the ground stored at 62
+        charge_gap(1038, 2.0)
+        assert 62 in bethe.ladder_sizes(1038)
+        calls = []
+        original = bethe.solve
+
+        def spy(config, *, seed=None):
+            calls.append((config, seed))
+            return original(config, seed=seed)
+
+        monkeypatch.setattr(bethe, "solve", spy)
+        charge_gap(62, 2.0)
+        assert len(calls) == 1
+        excitation, seed = calls[0]
+        assert excitation == quantum_numbers("charge_excitation", 62, 2.0)
+        assert seed.config == quantum_numbers("ground", 62, 2.0)
 
     def test_cache_clear_drops_the_roots(self, monkeypatch):
         bethe.state_energy("ground", 65, 2.0)

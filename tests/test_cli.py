@@ -64,7 +64,20 @@ class TestBasicCommands:
         assert code == 0
         rows = res["json"]["rows"]
         energy = [r for r in rows if r["quantity"] == "energy"][0]["value"]
+        bethe.state_energy.cache_clear()
         assert abs(energy - bethe.state_energy("ground", 6, 2.0)) < 1e-12
+
+    def test_bethe_reads_the_stored_roots(self, tmp_path, monkeypatch):
+        stored = bethe.state_energy("ground", 385, 4.0)
+
+        def no_solve(config, *, seed=None):
+            raise AssertionError(f"solved L={config.L}")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        code, res = run(["bethe", "--state", "ground", "--L", "385", "--U", "4"], tmp_path)
+        assert code == 0
+        rows = res["json"]["rows"]
+        assert [r["value"] for r in rows if r["quantity"] == "energy"] == [stored]
 
     def test_gap_row(self, tmp_path):
         code, res = run(["gap", "--L", "62", "--U", "2"], tmp_path)
