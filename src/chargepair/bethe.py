@@ -631,29 +631,19 @@ def l2_closed_forms(U: float) -> List[dict]:
     ]
 
 
-def _twisted_residual(lam: np.ndarray, n: int, targets: np.ndarray) -> np.ndarray:
-    t = 2.0 * np.arctan(lam[:, None] - lam[None, :])
-    np.fill_diagonal(t, 0.0)
-    return n * 2.0 * np.arctan(2.0 * lam) - targets - t.sum(axis=1)
-
-
-def _twisted_jacobian(lam: np.ndarray, n: int) -> np.ndarray:
-    d = 1.0 / (1.0 + (lam[:, None] - lam[None, :]) ** 2)
-    np.fill_diagonal(d, 0.0)
-    diag = 4.0 * n / (1.0 + 4.0 * lam * lam) - 2.0 * d.sum(axis=1)
-    jac = 2.0 * d
-    np.fill_diagonal(jac, diag)
-    return jac
-
-
-def _twisted_heisenberg_solve(n: int, targets: np.ndarray) -> np.ndarray:
-    """Real roots of n * 2 atan(2 lam_m) = targets_m + sum 2 atan(lam_m - lam_l):
-    the reference of ``strong_coupling_check``."""
-    lam0 = 0.5 * np.tan(np.clip(targets / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
+def _twisted_heisenberg_solve(config: BetheConfig) -> np.ndarray:
+    """Real roots lam of the twisted isotropic chain
+    n 2 atan(2 lam_m) = 2 pi (q2_m + shift2) + sum_l 2 atan(lam_m - lam_l), for
+    n = |q1|: the rapidity rows of the Bethe equations at U = 2 with every
+    sin k at zero, solved from the decoupled guess.  The reference of
+    ``strong_coupling_check``."""
+    chain = replace(config, U=2.0)
+    n = len(config.q1)
+    k = np.zeros(n)
     lam, _, _ = _damped_newton(
-        lam0,
-        lambda lam: _twisted_residual(lam, n, targets),
-        lambda lam, f: np.linalg.solve(_twisted_jacobian(lam, n), f),
+        _initial_guess(chain)[1],
+        lambda lam: _residual(k, lam, chain)[n:],
+        lambda lam, f: np.linalg.solve(_jacobian_blocks(k, lam, chain)[3], f),
     )
     return lam
 
@@ -678,5 +668,5 @@ def strong_coupling_check(L: int, n: float, U: float) -> float:
     config = replace(ground, q2=ground.q2[:n_down])
     roots = solve(config)
     lam_full = np.sort(2.0 * roots.mu / U)
-    lam_ref = np.sort(_twisted_heisenberg_solve(L, config.targets[1]))
+    lam_ref = np.sort(_twisted_heisenberg_solve(config))
     return float(np.max(np.abs(lam_full - lam_ref)))

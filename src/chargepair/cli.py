@@ -204,23 +204,22 @@ def _column(table: str, U: float, sizes: List[int]) -> Dict[int, float]:
 
 def cmd_reproduce(args) -> tuple:
     table = args.table
-    if table == "table2":
-        return [{"n_up": row["sector"].n_up, "n_down": row["sector"].n_down,
-                 "energy": row["energy"], "roots": row["description"]}
-                for row in bethe.l2_closed_forms(args.U if args.U is not None else 2.0)], []
-
-    ref = reference_tables.TABLES[table]
-    if args.U is not None and args.U not in ref:
+    ref = reference_tables.TABLES.get(table, {})  # table2, the closed forms at L=2, has none
+    if args.U is not None and ref and args.U not in ref:
         raise ValueError(f"{table} has no column U={args.U:g}; its couplings are "
                          + ", ".join(f"{u:g}" for u in sorted(ref)))
-    us = [args.U] if args.U is not None else sorted(ref)
-    default_sizes = sorted(next(iter(ref.values())).keys())
+    default_sizes = sorted(next(iter(ref.values())).keys()) if ref else [2]
     sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
     for L in sizes:
         if L not in default_sizes:
             raise ValueError(f"{table} has no size L={L}; its sizes are "
                              + ", ".join(map(str, default_sizes)))
+    if table == "table2":
+        return [{"n_up": row["sector"].n_up, "n_down": row["sector"].n_down,
+                 "energy": row["energy"], "roots": row["description"]}
+                for row in bethe.l2_closed_forms(args.U if args.U is not None else 2.0)], []
 
+    us = [args.U] if args.U is not None else sorted(ref)
     rows, deviations = [], []
     for u in us:
         for L, value in _column(table, u, sizes).items():

@@ -3,7 +3,7 @@
 Free-fermion eight-vertex building blocks with one null weight, the coupled
 Lax operator, Shastry-form R-matrix, transfer matrices, the quartic spectral
 curve, the graded fermionic Lax operator and R-matrix, and the Yang-Baxter
-residual checks in spin, graded-tensor and grading-insensitive check form.
+residual checks in spin and grading-insensitive check form.
 
 Local spaces are four dimensional, ordered (empty, up, down, up+down) with
 Grassmann parities (0, 1, 1, 0).  A local space is the pair of qubits
@@ -351,28 +351,6 @@ def ybe_residual_graded(p1: CurvePoint, p2: CurvePoint) -> float:
     lhs = _embed_pair(rc, (1, 2)) @ _embed_pair(lc1, (0, 1)) @ _embed_pair(lc2, (1, 2))
     rhs = _embed_pair(lc2, (0, 1)) @ _embed_pair(lc1, (1, 2)) @ _embed_pair(rc, (0, 1))
     return float(np.max(np.abs(lhs - rhs)))
-
-
-#: diagonal sign factor of embedding an operator on the outer spaces (0, 2),
-#: whose legs cross the middle space: sandwiching the plain embedding between
-#: it multiplies entry [(i0,i1,i2),(j0,j1,j2)] by (-1)^(p(i1)(p(i2)+p(j2))),
-#: the middle parity times the crossing legs of the last space
-_OUTER_SIGN = np.diag(np.tile((-1.0) ** np.outer(PARITIES, PARITIES).ravel(), 4))
-
-
-def ybe_residual_graded_tensor(p1: CurvePoint, p2: CurvePoint) -> float:
-    """Residual of R12 L13 L23 = L23 L13 R12 with graded embeddings.
-
-    The graded tensor product attaches parity signs when operator legs cross
-    the middle space (``_OUTER_SIGN``); with them the residual vanishes.
-    """
-    r = graded_r(p1, p2)
-    l1 = graded_lax(p1)
-    l2 = graded_lax(p2)
-    r12 = _embed_pair(r, (0, 1))
-    l23 = _embed_pair(l2, (1, 2))
-    l13 = _OUTER_SIGN @ _embed_pair(l1, (0, 2)) @ _OUTER_SIGN
-    return float(np.max(np.abs(r12 @ l13 @ l23 - l23 @ l13 @ r12)))
 
 
 def random_curve_points(U: float, count: int, seed: int) -> list:

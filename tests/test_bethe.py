@@ -227,8 +227,8 @@ class TestResidual:
         # chain: the residual of the full equations decays like 1/U
         def twisted_residual(U):
             cfg = quantum_numbers("ground", 6, U)
-            a1, a2 = cfg.targets
-            mu = (U / 2.0) * bethe._twisted_heisenberg_solve(len(a1), a2)
+            a1 = cfg.targets[0]
+            mu = (U / 2.0) * bethe._twisted_heisenberg_solve(cfg)
             return np.max(np.abs(bethe_residual(BetheRoots(cfg, a1 / cfg.L, mu, 0.0, 0))))
 
         weak = twisted_residual(50.0)
@@ -330,12 +330,12 @@ class TestJacobian:
 
     @pytest.mark.parametrize("n,m", [(5, 2), (13, 6), (65, 32)])
     def test_twisted_chain_jacobian_matches_finite_differences(self, n, m):
-        rng = np.random.default_rng(n)
-        lam = rng.normal(size=m)
-        targets = rng.normal(size=m)
-        fd = _finite_difference_jacobian(
-            lambda y: bethe._twisted_residual(y, n, targets), lam)
-        jac = bethe._twisted_jacobian(lam, n)
+        # the twisted chain is the rapidity block at U = 2 with every k at zero
+        chain = replace(quantum_numbers("ground", n, 20.0), U=2.0)
+        k = np.zeros(n)
+        lam = np.random.default_rng(n).normal(size=m)
+        fd = _finite_difference_jacobian(lambda y: bethe._residual(k, y, chain)[n:], lam)
+        jac = bethe._jacobian(k, lam, chain)[n:, n:]
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     def test_vanishing_k_pivot_is_a_singular_jacobian(self):
@@ -358,21 +358,22 @@ class TestDampedNewton:
         # the twisted-chain seed of the L = 65 odd ground state: quadratic
         # convergence needs the exact Jacobian
         monkeypatch.setattr(bethe, "_MAX_ITER", 12)
-        targets = quantum_numbers("ground", 65, 20.0).targets[1]
-        lam = bethe._twisted_heisenberg_solve(65, targets)
-        assert np.max(np.abs(bethe._twisted_residual(lam, 65, targets))) <= 1e-12
+        config = quantum_numbers("ground", 65, 20.0)
+        lam = bethe._twisted_heisenberg_solve(config)
+        chain = replace(config, U=2.0)
+        assert np.max(np.abs(bethe._residual(np.zeros(65), lam, chain)[65:])) <= 1e-12
         assert np.all(np.diff(lam) > 0)
 
     def test_every_solve_stops_at_the_one_gate(self, monkeypatch):
         config = quantum_numbers("ground", 65, 2.0)
         strict = solve(config)
-        targets = quantum_numbers("ground", 65, 20.0).targets[1]
         monkeypatch.setattr(bethe, "_TOL", 1e-6)
         loose = solve(config)
         assert 1e-12 < loose.residual_norm <= 1e-6
         assert loose.iterations < strict.iterations
-        lam = bethe._twisted_heisenberg_solve(65, targets)
-        assert 1e-12 < np.max(np.abs(bethe._twisted_residual(lam, 65, targets))) <= 1e-6
+        # the twisted chain is the rapidity block of the equations at U = 2
+        lam = bethe._twisted_heisenberg_solve(config)
+        assert 1e-12 < np.max(np.abs(bethe._residual(np.zeros(65), lam, config)[65:])) <= 1e-6
 
 
 class TestValidatedRoots:

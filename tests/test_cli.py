@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import partial
 
@@ -41,6 +42,13 @@ class TestBasicCommands:
         energies = [float(line.split(",")[2]) for line in res["csv"].strip().splitlines()[1:]]
         assert energies == [0.0] * 5
         assert res["json"]["parameters"]["U"] == 0.0
+
+    def test_table2_holds_the_two_site_size(self, capsys):
+        # any other size is refused (TestExitCodes)
+        assert cli.main(["reproduce", "table2", "--sizes", "2"]) == 0
+        trimmed = capsys.readouterr().out
+        assert cli.main(["reproduce", "table2"]) == 0
+        assert capsys.readouterr().out == trimmed
 
     def test_spectrum_rows(self, tmp_path):
         code, res = run(
@@ -91,6 +99,13 @@ class TestBasicCommands:
         code, res = run(["gap", "--L", str(L), "--U", "2"], tmp_path)
         assert code == 0
         assert res["csv"] == f"L,U,parity,gap\n{L},2,{parity},0.5\n"
+
+    def test_scaling_dim_row(self, tmp_path):
+        code, res = run(["scaling-dim", "--j", "0", "--sizes", "65,145", "--U", "2"], tmp_path)
+        assert code == 0
+        [row] = res["json"]["rows"]
+        assert (row["L"], row["U"], row["j"]) == (145, 2.0, 0)
+        assert abs(row["X"] - reference_tables.TABLES["table8"][2.0][145]) < 5e-3
 
     def test_extrapolate_command(self, tmp_path):
         sizes = "10,20,40,80"
@@ -404,6 +419,17 @@ class TestExitCodes:
         assert code == 2
         assert f"--sector takes n_up,n_down, got '{sector}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "hubbard", "--L", "3", "--sector", "1,1"],
+         "sector blocks are available for charge_pair_transformed only"),
+        (["--model", "charge_pair_transformed", "--L", "3", "--sector", "4,0"],
+         "sector Sector(n_up=4, n_down=0) out of range for L=3"),
+        (["--model", "charge_pair", "--L", "1"], "ring models need L >= 2")],
+        ids=["untransformed", "out_of_range", "one_site_ring"])
+    def test_spectrum_block_or_ring_that_does_not_exist(self, capsys, argv, message):
+        assert cli.main(["spectrum", "--U", "2"] + argv) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,named", [(["--sizes", "0,1,2"], "L=0, L=1"),
                                             (["--sizes", "1,2,3", "--mode", "log-corrected"],
                                              "L=1")])
@@ -436,7 +462,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("table,sizes", [("table4", "222,302,64"), ("table5", "62,65"),
                                              ("table7", "65,62"), ("table9", "65,145,224"),
-                                             ("table7", "1"), ("table4", "6")])
+                                             ("table7", "1"), ("table4", "6"),
+                                             ("table2", "5"), ("table2", "2,62")])
     def test_size_outside_the_class_fails_before_any_solve(self, monkeypatch, capsys,
                                                            table, sizes):
         def no_solve(*args, **kwargs):
@@ -531,3 +558,12 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "quantity,U,value"
+
+    def test_stdout_json_digests_its_csv(self, capsys):
+        assert cli.main(["liebwu", "xi", "--U", "2"]) == 0
+        csv = capsys.readouterr().out
+        assert cli.main(["liebwu", "xi", "--U", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        digest = payload["manifest"]["csv_sha256"]
+        assert digest == hashlib.sha256(cli._csv_body(payload["rows"]).encode()).hexdigest()
+        assert digest == hashlib.sha256(csv.encode()).hexdigest()

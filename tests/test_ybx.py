@@ -19,7 +19,6 @@ from chargepair.ybx import (
     single_lax,
     two_site_density_reference,
     ybe_residual_graded,
-    ybe_residual_graded_tensor,
     ybe_residual_spin,
 )
 from helpers import log_derivative_hamiltonian, transfer_matrix
@@ -313,15 +312,6 @@ class TestGradedYangBaxter:
         pts = ybx.random_curve_points(U, 30, seed=11)
         worst = max(ybe_residual_graded(pts[i], pts[15 + i]) for i in range(15))
         assert worst <= 1e-10
-
-    def test_tensor_form_sign_convention(self):
-        pts = ybx.random_curve_points(2.0, 4, seed=3)
-        assert ybe_residual_graded_tensor(pts[0], pts[2]) <= 1e-10
-        # without the crossing signs the relation fails
-        r12 = ybx._embed_pair(graded_r(pts[0], pts[2]), (0, 1))
-        l13 = ybx._embed_pair(graded_lax(pts[0]), (0, 2))
-        l23 = ybx._embed_pair(graded_lax(pts[2]), (1, 2))
-        assert maxabs(r12 @ l13 @ l23 - l23 @ l13 @ r12) > 0.1
 
 
 class TestDensityExpansion:
