@@ -23,7 +23,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+# scipy.sparse (through fock) before scipy.special (through liebwu): the
+# other order adds about 80 ms to every import of the package
 from .fock import Sector
+from . import liebwu
 
 EVEN = "even"
 ODD = "odd"
@@ -113,8 +116,8 @@ def parity(L: int) -> str:
 #: the largest size with branch numbers, so that a huge L is refused before
 #: O(L) of them are built.  The float64 residual stops reaching ``_TOL`` well
 #: below it: at U = 0.5, 2 and 4 every gap tried at L = 1793-2049 stalled at
-#: 1.1-1.4e-12 (L = 1790 converged), and a gap at L = 4094 stalls on the
-#: L = 2046 rung after 3.8 s.  At L = 4096 the kernel scratch would hold 201 MB.
+#: 1.1-1.4e-12 (L = 1790 converged), and a gap at L = 4094 stalls from both
+#: its starts after 19 s.  At L = 4096 the kernel scratch would hold 201 MB.
 _MAX_L = 4096
 
 
@@ -325,15 +328,22 @@ def _damped_newton(
     raise SolverError(f"no convergence after {_MAX_ITER} iterations", residual=best)
 
 
-def _initial_guess(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Decoupled start at any U: free momenta k = 2 pi (q1 + shift1) / L,
-    and rapidities that solve the second level with every sin k set to zero
-    and their mutual scattering dropped, n theta1(mu) = 2 pi (q2 + shift2)
-    for n = |q1| momenta, the tangent's argument clipped short of its
-    poles."""
-    a1, a2 = config.targets
-    arg = np.clip(a2 / (2.0 * len(a1)), -0.47 * np.pi, 0.47 * np.pi)
-    return a1 / config.L, (config.U / 4.0) * np.tan(arg)
+#: the weakest coupling whose counting functions seed a solve: a table's build
+#: grows like 1/U (30 ms at U = 0.1), so a weaker U starts from this one's
+_SEED_U_FLOOR = 0.1
+
+
+def _counting_seed(config: BetheConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Start from the infinite chain: each root where the counting function of
+    its level (``liebwu.counting_tables`` at U, at least ``_SEED_U_FLOOR``)
+    reaches 2 pi (q + shift) / L, by linear interpolation.  A target beyond
+    the range of its function, +-pi for z_c and +-pi/2 for z_s, is reflected
+    into it: the outermost roots of ``first_excitation`` lie a quarter step
+    beyond, and its solved roots just inside."""
+    k, z_c, mu, z_s = liebwu.counting_tables(max(config.U, _SEED_U_FLOOR))
+    z1, z2 = (np.where(np.abs(z) > edge, np.copysign(2.0 * edge, z) - z, z)
+              for z, edge in zip((a / config.L for a in config.targets), (np.pi, np.pi / 2)))
+    return np.interp(z1, z_c, k), np.interp(z2, z_s, mu)
 
 
 def _newton(
@@ -350,9 +360,6 @@ def _newton(
 
 #: strong coupling where the continuation in U starts
 _U_START = 20.0
-
-#: sizes up to this one are solved without a size ladder
-_LADDER_FLOOR = 33
 
 
 def _extrapolating_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -460,12 +467,13 @@ def _relax_level(x: np.ndarray, idx: np.ndarray, own: Callable) -> None:
 def _starts(config: BetheConfig, seed: Optional[BetheRoots]):
     """The coupling paths of ``solve`` in the order they are tried, each as
     (start, couplings): one start at the target U (the size seed when a seed
-    is given, else the decoupled guess), then, below ``_U_START``, the
-    continuation in U.  A start is only built when its path is reached."""
-    yield (_initial_guess(config) if seed is None else _size_seed(config, seed)), [config.U]
+    is given, else the counting seed), then, below ``_U_START``, the
+    continuation in U from the counting seed at ``_U_START``.  A start is
+    only built when its path is reached."""
+    yield (_counting_seed(config) if seed is None else _size_seed(config, seed)), [config.U]
     if config.U < _U_START:
         path = _continuation_path(config.U)
-        yield _initial_guess(replace(config, U=path[0])), path
+        yield _counting_seed(replace(config, U=path[0])), path
 
 
 def solve(config: BetheConfig, *, seed: Optional[BetheRoots] = None) -> BetheRoots:
@@ -473,10 +481,10 @@ def solve(config: BetheConfig, *, seed: Optional[BetheRoots] = None) -> BetheRoo
 
     Tries one start at the target U: the ``seed`` when one is given (a
     solved state at the same U: the same state at another size, or another
-    state at any size), else the decoupled guess (``_initial_guess``, the
-    same formula at every U).
+    state at any size), else the counting seed (``_counting_seed``, the
+    roots of the infinite chain at every U).
     If Newton fails from there and U is below ``_U_START``, a continuation
-    in decreasing U from the decoupled guess at ``_U_START`` follows.  Every
+    in decreasing U from the counting seed at ``_U_START`` follows.  Every
     path runs a damped Newton iteration (step halving on residual increase)
     at each coupling on it.  Raises the last path's ``SolverError`` when
     every path fails.
@@ -492,19 +500,6 @@ def solve(config: BetheConfig, *, seed: Optional[BetheRoots] = None) -> BetheRoo
         except SolverError as exc:
             error = exc
     raise error
-
-
-def ladder_sizes(L: int) -> List[int]:
-    """Ascending sizes of the parity class of L (odd, or 2 mod 4) from at
-    most ``_LADDER_FLOOR`` up to L, each about twice the one before."""
-    sizes = [L]
-    while sizes[-1] > _LADDER_FLOOR:
-        half = sizes[-1] // 2
-        if L % 2:
-            sizes.append(half - 1 + half % 2)
-        else:
-            sizes.append(half - (half - 2) % 4)
-    return sizes[::-1]
 
 
 def _validated_roots(
@@ -555,10 +550,9 @@ def state_roots(state: str, L: int, U: float) -> BetheRoots:
     """Roots of one tabulated state class at (L, U), from the root store.  A
     new (state, U, L) is one ``solve``, stored, seeded by the stored ground at
     (U, L), else by the state's largest stored size of L's class at most
-    ``_SEED_RATIO`` times below L, else, above ``_LADDER_FLOOR``, by
-    ``state_roots`` at the rung below L on ``ladder_sizes(L)``; else it starts
-    from the decoupled guess.  A bad size or U raises ``ValueError`` before any
-    solve, and a failed rung raises before any larger size is solved."""
+    ``_SEED_RATIO`` times below L, else from the counting seed.  A bad size or
+    U raises ``ValueError`` before any solve, and a failed solve stores
+    nothing."""
     roots = _ROOTS.get((state, U, L))
     if roots is None:
         config = quantum_numbers(state, L, U)
@@ -566,8 +560,6 @@ def state_roots(state: str, L: int, U: float) -> BetheRoots:
             (r for (s, u, size), r in _ROOTS.items() if (s, u) == (state, U)
              and size < L <= size * _SEED_RATIO and size % 2 == L % 2),
             key=lambda r: r.config.L, default=None)
-        if seed is None and L > _LADDER_FLOOR:
-            seed = state_roots(state, ladder_sizes(L)[-2], U)
         roots = solve(config, seed=seed)
         if len(_ROOTS) >= _STORE_SIZE:
             del _ROOTS[next(iter(_ROOTS))]
@@ -635,13 +627,15 @@ def _twisted_heisenberg_solve(config: BetheConfig) -> np.ndarray:
     """Real roots lam of the twisted isotropic chain
     n 2 atan(2 lam_m) = 2 pi (q2_m + shift2) + sum_l 2 atan(lam_m - lam_l), for
     n = |q1|: the rapidity rows of the Bethe equations at U = 2 with every
-    sin k at zero, solved from the decoupled guess.  The reference of
-    ``strong_coupling_check``."""
+    sin k at zero, started from the tangent roots of n 2 atan(2 lam) =
+    2 pi (q2 + shift2) with their mutual scattering dropped, the argument
+    clipped short of its poles.  The reference of ``strong_coupling_check``."""
     chain = replace(config, U=2.0)
     n = len(config.q1)
     k = np.zeros(n)
+    start = 0.5 * np.tan(np.clip(chain.targets[1] / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
     lam, _, _ = _damped_newton(
-        _initial_guess(chain)[1],
+        start,
         lambda lam: _residual(k, lam, chain)[n:],
         lambda lam, f: np.linalg.solve(_jacobian_blocks(k, lam, chain)[3], f),
     )

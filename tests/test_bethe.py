@@ -481,18 +481,11 @@ class TestSolve:
         assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
 
 
-class TestLadder:
-    @given(st.one_of(st.integers(0, 1100).map(lambda j: 2 * j + 1),
-                     st.integers(0, 550).map(lambda j: 4 * j + 2)))
-    def test_sizes_ascend_in_the_class_of_the_target(self, L):
-        sizes = bethe.ladder_sizes(L)
-        assert sizes[-1] == L
-        assert sizes[0] <= bethe._LADDER_FLOOR
-        assert all(size > bethe._LADDER_FLOOR for size in sizes[1:])
-        assert all(a < b for a, b in zip(sizes, sizes[1:]))
-        for size in sizes:
-            quantum_numbers("ground", size, 2.0)
+#: a stored size about half of L, whose roots seed L
+_HALF_SIZE = {225: 111, 385: 191}
 
+
+class TestLadder:
     @pytest.mark.parametrize("U", [2.0, 3.0, 4.0, 20.0, 1000.0])
     @pytest.mark.parametrize("state,L", [(s, 142) for s in bethe.STATES_EVEN]
                              + [(s, 145) for s in bethe.STATES_ODD])
@@ -532,8 +525,9 @@ class TestLadder:
         seeded_k, seeded_mu = bethe._size_seed(config, seed)
         assert np.array_equal(starts[0][0], seeded_k) and np.array_equal(starts[0][1], seeded_mu)
         assert starts[0][2] == 2.0
-        # the next run is the continuation's first coupling, not the target
-        guess_k, guess_mu = bethe._initial_guess(replace(config, U=20.0))
+        # the next run is the continuation's first coupling, not the target,
+        # from the counting seed there
+        guess_k, guess_mu = bethe._counting_seed(replace(config, U=20.0))
         assert np.array_equal(starts[1][0], guess_k) and np.array_equal(starts[1][1], guess_mu)
         assert starts[1][2] == 20.0
         assert np.max(np.abs(bethe_residual(roots))) <= 1e-12
@@ -541,8 +535,9 @@ class TestLadder:
 
     def test_weak_coupling_size_seeds_need_no_continuation(self, monkeypatch):
         # at U = 0.5 the bare interpolated seed stalled at L = 302 and fell
-        # back to continuation in U; the edge-relaxed seed converges at every
-        # size above the ladder floor, in one Newton run at the target
+        # back to continuation in U; up a table column the edge-relaxed size
+        # seeds converge in one Newton run at the target, after one cold
+        # start at the smallest size
         newton = bethe._newton
         runs = []
 
@@ -551,18 +546,25 @@ class TestLadder:
             return newton(k, mu, cfg)
 
         monkeypatch.setattr(bethe, "_newton", spy)
-        roots = state_roots("ground", 302, 0.5)
-        above_floor = [(size, u) for size, u in runs if size > bethe._LADDER_FLOOR]
-        assert above_floor == [(size, 0.5) for size in bethe.ladder_sizes(302)[1:]]
+        calls = _spy_solve(monkeypatch)
+        for L in (62, 142, 302):
+            roots = state_roots("ground", L, 0.5)
+        assert calls == [(62, None), (142, 62), (302, 142)]
+        assert runs == [(62, 0.5), (142, 0.5), (302, 0.5)]
         assert abs(energy(roots) - -385.79099058585325) <= 1e-12
 
     @pytest.mark.parametrize("L,U", [(385, 4.0), (225, 2.0)])
-    def test_top_rung_takes_three_iterations(self, L, U):
+    def test_top_rung_takes_three_iterations(self, monkeypatch, L, U):
+        # seeded from a stored size about half of L; a cold counting start
+        # takes 4
+        state_roots("ground", _HALF_SIZE[L], U)
+        calls = _spy_solve(monkeypatch)
         assert state_roots("ground", L, U).iterations <= 3
+        assert calls == [(L, _HALF_SIZE[L])]
 
     @pytest.mark.parametrize("state,L,U", [("ground", 225, 2.0), ("charge_excitation", 385, 4.0)])
     def test_relaxed_seed_keeps_order_and_lowers_the_residual(self, monkeypatch, state, L, U):
-        below = state_roots(state, bethe.ladder_sizes(L)[-2], U)
+        below = state_roots(state, _HALF_SIZE[L], U)
         config = quantum_numbers(state, L, U)
         k, mu = bethe._size_seed(config, below)
         monkeypatch.setattr(bethe, "_relax_edges", lambda k, mu, config: (k, mu))
@@ -577,6 +579,9 @@ class TestLadder:
         assert relaxed < bare
 
     def test_failed_size_raises_and_stops_the_ladder(self, monkeypatch):
+        # a size that fails is not stored, so it seeds no larger size, and
+        # no smaller size is solved in its place
+        state_roots("ground", 57, 4.0)
         original = bethe.solve
         calls = []
 
@@ -588,9 +593,11 @@ class TestLadder:
 
         monkeypatch.setattr(bethe, "solve", fail_at_115)
         with pytest.raises(SolverError, match="stalled at 115") as err:
-            state_roots("ground", 465, 4.0)
+            state_roots("ground", 115, 4.0)
         assert err.value.residual == 1.0
-        assert calls == [(27, None), (57, 27), (115, 57)]
+        assert calls == [(115, 57)]
+        state_roots("ground", 231, 4.0)
+        assert calls == [(115, 57), (231, None)]
 
     def test_failure_at_the_target_raises(self, monkeypatch):
         original = bethe.solve
@@ -627,6 +634,79 @@ class TestLadder:
         assert np.array_equal(roots.k, direct.k) and np.array_equal(roots.mu, direct.mu)
 
 
+def _spy_newton(monkeypatch):
+    """(config.L, config.U, iterations or None on failure) of every Newton run."""
+    newton, runs = bethe._newton, []
+
+    def spy(k, mu, cfg):
+        try:
+            out = newton(k, mu, cfg)
+        except SolverError:
+            runs.append((cfg.L, cfg.U, None))
+            raise
+        runs.append((cfg.L, cfg.U, out[3]))
+        return out
+
+    monkeypatch.setattr(bethe, "_newton", spy)
+    return runs
+
+
+#: every size of a parity class up to 39, and two table sizes of each class
+_SWEEP_SIZES = [L for L in range(1, 40) if L % 4] + [62, 65, 142, 145]
+
+
+class TestCountingSeed:
+    @pytest.mark.parametrize("U", [0.25, 0.5, 2.0, 100.0])
+    def test_every_tabulated_state_starts_cold_in_one_newton_run(self, monkeypatch, U):
+        # the sweep the size ladder needed a floor for: each state from an
+        # empty store, straight from the counting seed at its target U.  The
+        # worst runs take 10 iterations (first_excitation) and 7 (ground).
+        runs = _spy_newton(monkeypatch)
+        for L in _SWEEP_SIZES:
+            for state in (bethe.STATES_ODD if L % 2 else bethe.STATES_EVEN):
+                bethe.state_energy.cache_clear()
+                runs.clear()
+                roots = state_roots(state, L, U)
+                assert [(size, u) for size, u, _ in runs] == [(L, U)], (state, L)
+                assert roots.residual_norm <= 1e-12
+
+    def test_unseeded_weak_coupling_solve_is_one_newton_run(self, monkeypatch):
+        # its continuation in U failed after 8.4 s from the decoupled guess
+        runs = _spy_newton(monkeypatch)
+        roots = solve(quantum_numbers("ground", 1038, 0.5))
+        assert [(L, U) for L, U, _ in runs] == [(1038, 0.5)]
+        assert roots.residual_norm <= 1e-12
+
+    def test_cold_size_is_one_solve(self, monkeypatch):
+        calls = _spy_solve(monkeypatch)
+        state_roots("ground", 1038, 0.5)
+        assert calls == [(1038, None)]
+
+    @pytest.mark.parametrize("L", [22, 30])
+    def test_continuation_converges_where_the_counting_seed_stalls(self, monkeypatch, L):
+        # at U = 0.1 the even ground's counting seed stalls: z_c is flat to
+        # rounding beyond |k| = pi/2, so its outermost momenta are undetermined
+        runs = _spy_newton(monkeypatch)
+        roots = solve(quantum_numbers("ground", L, 0.1))
+        assert runs[0] == (L, 0.1, None)
+        assert [u for _, u, _ in runs[1:]] == bethe._continuation_path(0.1)
+        assert roots.residual_norm <= 1e-12
+
+    def test_weak_coupling_seeds_from_the_floor_table(self, monkeypatch):
+        built = []
+        tables = bethe.liebwu.counting_tables
+        monkeypatch.setattr(bethe.liebwu, "counting_tables",
+                            lambda U: built.append(U) or tables(U))
+        bethe._counting_seed(quantum_numbers("ground", 13, 1e-3))
+        assert built == [bethe._SEED_U_FLOOR]
+
+    def test_strong_coupling_starts_from_the_bounded_quadrature(self, monkeypatch):
+        runs = _spy_newton(monkeypatch)
+        roots = solve(quantum_numbers("ground", 145, 1e6))
+        assert [(L, U) for L, U, _ in runs] == [(145, 1e6)]
+        assert roots.residual_norm <= 1e-12
+
+
 class TestEnergy:
     def test_empty_sector(self):
         cfg = BetheConfig(2, 3.0, (), ())
@@ -656,6 +736,7 @@ class TestChargeGap:
 
     @pytest.mark.parametrize("L,parity", [(142, "even"), (385, "odd")])
     def test_one_ground_ladder_and_one_seeded_excitation(self, monkeypatch, L, parity):
+        # on an empty store the ground is one cold solve, a ladder of one rung
         assert bethe.parity(L) == parity
         original = bethe.solve
         calls = []
@@ -666,10 +747,8 @@ class TestChargeGap:
 
         monkeypatch.setattr(bethe, "solve", spy)
         charge_gap(L, 2.0)
-        ladder = bethe.ladder_sizes(L)
-        assert len(calls) == len(ladder) + 1
-        assert [c.L for c, _ in calls[:-1]] == ladder
-        assert all(c == quantum_numbers("ground", c.L, 2.0) for c, _ in calls[:-1])
+        assert len(calls) == 2
+        assert calls[0] == (quantum_numbers("ground", L, 2.0), None)
         excitation, seed = calls[-1]
         assert excitation == quantum_numbers("charge_excitation", L, 2.0)
         assert seed.config == quantum_numbers("ground", L, 2.0)
@@ -780,7 +859,7 @@ class TestStateEnergyStore:
     def test_each_size_climbs_from_the_largest_stored_one_below(self, monkeypatch):
         calls = _spy_solve(monkeypatch)
         bethe.state_energy("ground", 65, 2.0)
-        assert calls == [(31, None), (65, 31)]
+        assert calls == [(65, None)]
         del calls[:]
         # a stored size seeds up to _SEED_RATIO = 2.5 times above it directly
         bethe.state_energy("ground", 145, 2.0)
@@ -789,17 +868,15 @@ class TestStateEnergyStore:
         bethe.state_energy("ground", 225, 2.0)
         assert calls == [(225, 145)]
         del calls[:]
-        # an even size climbs its own class from the floor, and a repeat
-        # solves nothing
+        # no odd size seeds an even one, and a repeat solves nothing
         bethe.state_energy("ground", 142, 2.0)
-        assert calls == [(14, None), (34, 14), (70, 34), (142, 70)]
+        assert calls == [(142, None)]
         del calls[:]
         bethe.state_energy("ground", 145, 2.0)
         assert calls == []
-        # a size more than 2.5 times above every stored one climbs its ladder
-        # down only to the first rung a stored size seeds
+        # a size more than 2.5 times above every stored one starts cold
         bethe.state_energy("ground", 625, 2.0)
-        assert calls == [(311, 225), (625, 311)]
+        assert calls == [(625, None)]
         del calls[:]
         # another state at a stored ground's size is one solve seeded from
         # that ground, the only roots stored at L = 225
@@ -808,18 +885,17 @@ class TestStateEnergyStore:
 
     def test_seed_more_than_the_ratio_below_is_not_used(self, monkeypatch):
         # at U = 0.5 a 17x seed (62 -> 1038) stalls, and the continuation in U
-        # that follows fails after seconds: the size climbs its own ladder
-        # down to the first rung that 62 seeds within the ratio
+        # that follows fails after seconds: the size starts cold
         bethe.state_energy("ground", 62, 0.5)
         calls = _spy_solve(monkeypatch)
         bethe.state_energy("ground", 1038, 0.5)
-        assert calls == [(126, 62), (258, 126), (518, 258), (1038, 518)]
+        assert calls == [(1038, None)]
 
     def test_rungs_of_a_climb_are_stored(self, monkeypatch):
-        # L = 62 is a rung of the L = 1038 ladder: the second gap solves only
-        # its excitation, seeded from the ground stored at 62
-        charge_gap(1038, 2.0)
-        assert 62 in bethe.ladder_sizes(1038)
+        # L = 62 is a rung of a ground column climbed to L = 302: the gap
+        # solves only its excitation, seeded from the ground stored at 62
+        for L in (62, 142, 302):
+            bethe.state_energy("ground", L, 2.0)
         calls = []
         original = bethe.solve
 
@@ -839,8 +915,7 @@ class TestStateEnergyStore:
         bethe.state_energy.cache_clear()
         calls = _spy_solve(monkeypatch)
         bethe.state_energy("ground", 145, 2.0)
-        assert [L for L, _ in calls] == bethe.ladder_sizes(145)
-        assert calls[0] == (bethe.ladder_sizes(145)[0], None)
+        assert calls == [(145, None)]
 
     def test_cache_info_counts_as_lru_cache(self):
         reference = lru_cache(maxsize=4096)(lambda state, L, U: 0.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,29 @@ class TestGap:
     def test_positive_coupling_required(self):
         with pytest.raises(ValueError):
             gap_infinite(0.0)
+
+    def test_value_at_strong_coupling(self):
+        assert abs(gap_infinite(1e4) - 4998.00027726) <= 5e-9
+
+
+class TestStrongCouplingQuadrature:
+    """At large U the integrands live on x < 80/U: the plan keeps ten panels
+    there however large U is, where 8/U-wide panels up to 80/U + 10 once
+    needed 1.25 U of them and refused U >= 1e5."""
+
+    @pytest.mark.parametrize("U", [1e5, 1e6, 1e10])
+    def test_leading_terms(self, U):
+        # J1(x)/x = 1/2 - x^2/16 + ..., so the integral term is 4 ln 2 / U up
+        # to a relative 1/U^2, and each value is U/2 or U/4 to a few ulp of U
+        gap_ref = U / 2.0 - 2.0 + 4.0 * np.log(2.0) / U
+        energy_ref = -U / 4.0 - 4.0 * np.log(2.0) / U
+        assert abs(gap_infinite(U) - gap_ref) <= 4.0 * np.finfo(float).eps * U
+        assert abs(ground_energy_density(U) - energy_ref) <= 4.0 * np.finfo(float).eps * U
+        assert abs(liebwu._j1_fermi_integral(U) * U / np.log(2.0) - 1.0) <= 1e-9
+
+    def test_plan_is_bounded(self):
+        for U in (5.1, 1e5, 1e10, 1e300):
+            assert sum(len(x) for x, _ in liebwu._panel_nodes(U)) == 10 * liebwu._NODES
 
 
 class TestEnergyDensity:
@@ -92,3 +117,47 @@ class TestSpinVelocity:
 
     def test_no_overflow_at_tiny_coupling(self):
         assert 0.0 < spin_velocity(1e-3) <= 2.0
+
+
+COUNTING_COUPLINGS = [0.1, 0.25, 2.0, 4.0, 1e3, 1e10]
+
+
+class TestCountingTables:
+    @pytest.mark.parametrize("U", COUNTING_COUPLINGS)
+    def test_charge_counting_function_increases_through_the_zone(self, U):
+        k, z_c, _, _ = liebwu.counting_tables(U)
+        assert np.all(np.diff(k) > 0) and np.all(np.diff(z_c) > 0)
+        assert (k[0], k[-1]) == (-np.pi, np.pi)
+        assert (z_c[0], z_c[-1]) == (-np.pi, np.pi)
+
+    @pytest.mark.parametrize("U", COUNTING_COUPLINGS)
+    def test_spin_counting_function_is_odd_monotone_and_bounded(self, U):
+        _, _, mu, z_s = liebwu.counting_tables(U)
+        assert np.array_equal(mu, -mu[::-1]) and np.array_equal(z_s, -z_s[::-1])
+        assert np.all(np.diff(mu) > 0) and np.all(np.diff(z_s) >= 0)
+        assert np.all(np.abs(z_s) < np.pi / 2)
+
+    @pytest.mark.parametrize("U", [0.5, 2.0, 4.0])
+    def test_spin_counting_function_matches_its_real_space_form(self, U):
+        # z_s(mu) = (1/pi) int_{-pi}^{pi} atan(tanh(pi (mu - sin k) / U)) dk, by
+        # the trapezoidal rule, exact to rounding for a smooth periodic integrand
+        _, _, mu, z_s = liebwu.counting_tables(U)
+        half = len(mu) // 2
+        k = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+        x = np.subtract.outer(mu[half::23], np.sin(k))
+        ref = 2.0 * np.mean(np.arctan(np.tanh(np.pi * x / U)), axis=1)
+        assert np.max(np.abs(z_s[half::23] - ref)) <= 1e-13
+
+    def test_build_holds_no_large_temporary(self):
+        # the weakest table a solve builds, U = 0.1, takes 37 000 quadrature
+        # nodes: built in one piece it peaks at 26 MB
+        tracemalloc.start()
+        try:
+            liebwu.counting_tables.__wrapped__(0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+    def test_tables_are_memoized_by_coupling(self):
+        assert liebwu.counting_tables(2.0) is liebwu.counting_tables(2.0)
