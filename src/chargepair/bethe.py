@@ -43,6 +43,15 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+#: the largest accepted coupling.  The kernels square differences of roots,
+#: which spread like U.  Cold solves of every tabulated state at L = 13-1038
+#: ran without an overflow up to U = 4e153; the first overflows came at
+#: 6.3e153 (L = 1025-1038), 1e154 (L = 65-386) and 1.6e154 (L = 13-14), the
+#: earlier the larger L.  The bound keeps a factor of 6000 below them for the
+#: sizes up to ``_MAX_L``.
+_MAX_U = 1e150
+
+
 @dataclass(frozen=True)
 class BetheConfig:
     """A root-class target: lattice, coupling and branch numbers.  Neither
@@ -58,9 +67,12 @@ class BetheConfig:
         if not (math.isfinite(self.U) and self.U > 0):
             raise ValueError(f"coupling U must be finite and positive, got U={self.U}")
         if self.U * self.U < sys.float_info.min:
-            # theta' = 2cU / (U^2 + c^2 x^2) divides by zero once U^2 underflows
+            # theta' = (2U/c) / (x^2 + (U/c)^2) loses (U/c)^2 as U^2 underflows
             raise ValueError(f"coupling U={self.U} is too small: U^2 underflows, "
                              f"so U must be at least {math.sqrt(sys.float_info.min):.4g}")
+        if self.U > _MAX_U:
+            raise ValueError(f"coupling U={self.U} is too large: the Bethe kernels overflow, "
+                             f"so U must be at most {_MAX_U:.4g}")
         # 2 pi (q + shift) is exact enough to keep the order of q (denominators 1, 2, 4)
         if not all(np.all(d > 0) or np.all(d < 0) for d in map(np.diff, self.targets)):
             raise ValueError("branch numbers must be strictly monotone")
@@ -117,7 +129,8 @@ def parity(L: int) -> str:
 #: O(L) of them are built.  The float64 residual stops reaching ``_TOL`` well
 #: below it: at U = 0.5, 2 and 4 every gap tried at L = 1793-2049 stalled at
 #: 1.1-1.4e-12 (L = 1790 converged), and a gap at L = 4094 stalls from both
-#: its starts after 19 s.  At L = 4096 the kernel scratch would hold 201 MB.
+#: its starts after 16 s.  At L = 4096 the kernel scratch would hold 268 MB:
+#: three n x m and two m x m buffers.
 _MAX_L = 4096
 
 
@@ -160,24 +173,27 @@ def quantum_numbers(state: str, L: int, U: float) -> BetheConfig:
     return BetheConfig(L, U, q1, q2)
 
 
-def _theta(x: np.ndarray, c: float, U: float) -> np.ndarray:
-    """2 atan(c x / U), written over x and returned: theta1 is c = 4,
-    theta2 is c = 2."""
-    x *= c
-    x /= U
-    np.arctan(x, out=x)
-    x *= 2.0
-    return x
+def _theta(x: np.ndarray, c: float, U: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Half the phase, atan(c x / U): theta1 / 2 for c = 4, theta2 / 2 for
+    c = 2, written into ``out`` (over x when it is None) and returned.
+
+    Two passes, atan(x / (U/c)): c is a power of two, so U/c is exact and
+    x / (U/c) rounds as (c x) / U does.  The factor 2 goes on the row sums,
+    where 2 sum(t) is sum(2 t) bit for bit."""
+    t = np.divide(x, U / c, out=x if out is None else out)
+    return np.arctan(t, out=t)
 
 
 def _dtheta(x: np.ndarray, c: float, U: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The derivative 2cU / (U^2 + c^2 x^2) of ``_theta``, written into ``out``
-    (a new array when it is None) and returned.  ``out`` must not be x:
-    the square is rounded as (c^2 x) x, which reads x after c^2 x is written."""
-    d = np.multiply(c * c, x, out=out)
-    d *= x
-    d += U * U
-    return np.divide(2.0 * c * U, d, out=d)
+    """The derivative 2cU / (U^2 + c^2 x^2) of theta, written into ``out`` (a
+    new array when it is None) and returned.  Three passes,
+    (2U/c) / (x^2 + (U/c)^2): numerator and denominator are the usual ones
+    divided by the power of two c^2, so every value keeps its bits wherever
+    no pass overflows or underflows."""
+    h = U / c
+    d = np.multiply(x, x, out=out)
+    d += h * h
+    return np.divide(2.0 * h, d, out=d)
 
 
 #: flat float64 buffers of the Newton kernels by name, each allocated on first
@@ -202,54 +218,66 @@ def bethe_residual(roots: BetheRoots) -> np.ndarray:
     return _residual(roots.k, roots.mu, roots.config)
 
 
+def _differences(k: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """sin k - mu (n x m) and mu - mu (m x m), the arguments of every kernel,
+    written to the ``_scratch`` buffers "nm_x" and "mm_x"."""
+    n, m = len(k), len(mu)
+    return (np.subtract.outer(np.sin(k), mu, out=_scratch("nm_x", n, m)),
+            np.subtract.outer(mu, mu, out=_scratch("mm_x", m, m)))
+
+
 def _residual(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
     """Stacked residual of both equation sets, built on one n x m matrix
-    t1 = theta1(sin k - mu) per call: one theta1 evaluation per Newton iterate.
+    t1 = theta1(sin k - mu) / 2 per call: one theta1 evaluation per Newton
+    iterate.
 
-    The mu rows need theta1(mu - sin k) = -t1^T, which holds bit for bit
-    because theta1 is odd and so is numpy's arctan.  They are the negated row
+    The mu rows need theta1(mu - sin k) = -theta1(sin k - mu), which holds bit
+    for bit because numpy's arctan is odd.  They are the negated row
     sums of a C-contiguous copy of t1^T, the same pairwise summation as the
     rows of theta1(mu - sin k), so the sums keep their bits.  ``t1.sum(axis=0)``
     is not used: it adds the rows one after another, and at L ~ 1000 that
     rounding lifts converged residuals of 7-9e-13 over the 1e-12 gate.
 
-    t1, its transposed copy and theta2 live in the ``_scratch`` buffers
-    "nm_a", "nm_b" and "mm_a"."""
+    The differences (``_differences``) stay in "nm_x" and "mm_x" for
+    ``_newton_step(..., reuse=True)`` at the same (k, mu); t1, its transposed
+    copy and theta2 / 2 live in the ``_scratch`` buffers "nm_a", "nm_b" and
+    "mm_a"."""
     U = config.U
     a1, a2 = config.targets
     f1 = config.L * k - a1
     if len(mu):
         n, m = len(k), len(mu)
-        t1 = _theta(np.subtract.outer(np.sin(k), mu, out=_scratch("nm_a", n, m)), 4.0, U)
-        f1 += t1.sum(axis=1)
+        x1, x2 = _differences(k, mu)
+        t1 = _theta(x1, 4.0, U, out=_scratch("nm_a", n, m))
+        f1 += 2.0 * t1.sum(axis=1)
         t1_rows = _scratch("nm_b", m, n)
         np.copyto(t1_rows, t1.T)
-        f2 = -t1_rows.sum(axis=1) - a2
-        t2 = _theta(np.subtract.outer(mu, mu, out=_scratch("mm_a", m, m)), 2.0, U)
+        f2 = -2.0 * t1_rows.sum(axis=1) - a2
+        t2 = _theta(x2, 2.0, U, out=_scratch("mm_a", m, m))
         np.fill_diagonal(t2, 0.0)
-        f2 -= t2.sum(axis=1)
+        f2 -= 2.0 * t2.sum(axis=1)
         return np.concatenate([f1, f2])
     return f1
 
 
 def _jacobian_blocks(
-    k: np.ndarray, mu: np.ndarray, config: BetheConfig
+    k: np.ndarray, mu: np.ndarray, config: BetheConfig, reuse: bool = False
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Blocks of the Jacobian [[diag(dk), -d1], [-d1^T diag(cos k), e]].
 
     theta1' is even, so the k-rows and the mu-rows share the n x m matrix d1.
-    d1 and e are views of the ``_scratch`` buffers "nm_b" and "mm_b", valid
-    until the next kernel call (``_residual``, ``_jacobian_blocks`` or
-    ``_newton_step``) in this thread; the arguments of ``_dtheta`` pass
-    through "nm_a" and "mm_a"."""
+    The differences are built afresh, or with ``reuse`` read from "nm_x" and
+    "mm_x" as the last ``_residual`` call left them, which must have been at
+    this (k, mu).  d1 and e are views of the ``_scratch`` buffers "nm_b" and
+    "mm_a", valid until the next kernel call (``_residual``,
+    ``_jacobian_blocks`` or ``_newton_step``) in this thread."""
     U = config.U
     n, m = len(k), len(mu)
     ck = np.cos(k)
-    x = np.subtract.outer(np.sin(k), mu, out=_scratch("nm_a", n, m))
-    d1 = _dtheta(x, 4.0, U, out=_scratch("nm_b", n, m))
+    x1, x2 = (_scratch("nm_x", n, m), _scratch("mm_x", m, m)) if reuse else _differences(k, mu)
+    d1 = _dtheta(x1, 4.0, U, out=_scratch("nm_b", n, m))
     dk = config.L + ck * d1.sum(axis=1)
-    x = np.subtract.outer(mu, mu, out=_scratch("mm_a", m, m))
-    e = _dtheta(x, 2.0, U, out=_scratch("mm_b", m, m))
+    e = _dtheta(x2, 2.0, U, out=_scratch("mm_a", m, m))
     np.fill_diagonal(e, 0.0)
     diag = d1.sum(axis=0) - e.sum(axis=1)
     np.fill_diagonal(e, diag)
@@ -262,9 +290,13 @@ def _jacobian(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
     return np.block([[np.diag(dk), -d1], [-d1.T * ck, e]])
 
 
-def _newton_step(k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarray) -> np.ndarray:
+def _newton_step(
+    k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarray, reuse: bool = False
+) -> np.ndarray:
     """Solve J step = f by eliminating the diagonal k-block: an m x m Schur
-    system on the rapidities, then back-substitution for the momenta.
+    system on the rapidities, then back-substitution for the momenta.  With
+    ``reuse`` the Jacobian is built on the differences of the last
+    ``_residual`` call, which must have been at this (k, mu).
 
     Dense algebra stays on numpy (solve and @): scipy bundles a second
     OpenBLAS with its own thread pool, and alternating the two libraries in
@@ -273,14 +305,14 @@ def _newton_step(k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarr
     w = d1^T diag(ck/dk) is written F-ordered, into the transpose of the
     (n, m) buffer "nm_a", as a fresh ``d1.T * (ck / dk)`` comes out: a
     C-ordered w rounds the GEMM ``w @ d1`` differently.  That product goes
-    to "mm_a"."""
-    dk, ck, d1, e = _jacobian_blocks(k, mu, config)
+    to "mm_x", whose differences e and d1 no longer need."""
+    dk, ck, d1, e = _jacobian_blocks(k, mu, config, reuse)
     if not np.all(np.isfinite(dk) & (dk != 0.0)):
         raise np.linalg.LinAlgError("vanishing k-pivot")
     n, m = d1.shape
     f1, f2 = f[:n], f[n:]
     w = np.multiply(d1.T, ck / dk, out=_scratch("nm_a", n, m).T)
-    e -= np.matmul(w, d1, out=_scratch("mm_a", m, m))
+    e -= np.matmul(w, d1, out=_scratch("mm_x", m, m))
     rhs = w @ f1
     rhs += f2
     step_mu = np.linalg.solve(e, rhs)
@@ -302,7 +334,11 @@ def _damped_newton(
 ) -> Tuple[np.ndarray, float, int]:
     """Newton iteration on residual(x) = 0 with step halving: a step is taken
     only if it lowers the max-norm residual, and x is accepted once that is at
-    most ``_TOL``, within ``_MAX_ITER`` steps.  Returns (x, residual, steps)."""
+    most ``_TOL``, within ``_MAX_ITER`` steps.  Returns (x, residual, steps).
+
+    ``newton_step(x, f)`` is only called right after ``f = residual(x)``, with
+    no other ``residual`` call between: a step may reuse what the residual
+    built at x (``_newton`` does)."""
     f = residual(x)
     best = float(np.max(np.abs(f))) if len(f) else 0.0
     for it in range(_MAX_ITER + 1):
@@ -353,7 +389,7 @@ def _newton(
     x, res, its = _damped_newton(
         np.concatenate([k, mu]),
         lambda x: _residual(x[:n], x[n:], config),
-        lambda x, f: _newton_step(x[:n], x[n:], config, f),
+        lambda x, f: _newton_step(x[:n], x[n:], config, f, reuse=True),
     )
     return x[:n], x[n:], res, its
 
@@ -416,7 +452,7 @@ def _relax_edges(
     def own_k(kk, slope=False):
         x = np.subtract.outer(np.sin(kk), mu)
         d = L + np.cos(kk) * _dtheta(x, 4.0, U).sum(axis=1) if slope else None
-        return L * kk - a1 + _theta(x, 4.0, U).sum(axis=1), d
+        return L * kk - a1 + 2.0 * _theta(x, 4.0, U).sum(axis=1), d
 
     def own_mu(mm, slope=False):
         x = np.subtract.outer(mm, np.sin(k))
@@ -428,7 +464,7 @@ def _relax_edges(
             d = _dtheta(x, 4.0, U).sum(axis=1) - e.sum(axis=1)
         t2 = _theta(y, 2.0, U)
         t2[rows, im] = 0.0
-        return _theta(x, 4.0, U).sum(axis=1) - a2 - t2.sum(axis=1), d
+        return 2.0 * _theta(x, 4.0, U).sum(axis=1) - a2 - 2.0 * t2.sum(axis=1), d
 
     for _ in range(_EDGE_SWEEPS):
         _relax_level(k, ik, own_k)

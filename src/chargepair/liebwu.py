@@ -44,6 +44,16 @@ _MAX_PANELS = 100_000
 _CHUNK_PANELS = 4096
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``_NODES``-point Gauss-Legendre
+    rule on [-1, 1], built on first use: a build takes 250 us, two thirds of
+    a ``ground_energy_density`` call."""
+    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _panel_nodes(U: float, chunk_panels: int = _CHUNK_PANELS):
     """Flat nodes and weights of the composite Gauss-Legendre plan at U,
     ``chunk_panels`` panels at a time: ``_PANEL_WIDTH`` wide up to
@@ -58,7 +68,7 @@ def _panel_nodes(U: float, chunk_panels: int = _CHUNK_PANELS):
             raise ValueError(f"coupling U={U} is too small for the Lieb-Wu quadrature (over "
                              f"{_MAX_PANELS} panels); the smallest accepted U is about {smallest:.3g}")
         edges = np.linspace(0.0, upper, max(4, int(np.ceil(upper / _PANEL_WIDTH))) + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(_NODES)
+    nodes, weights = _gauss_legendre()
     for lo in range(0, len(edges) - 1, chunk_panels):
         chunk = edges[lo:lo + chunk_panels + 1]
         half = 0.5 * np.diff(chunk)[:, None]

@@ -294,7 +294,23 @@ class TestResidual:
             assert np.array_equal(bethe._newton_step(k, mu, cfg, f),
                                   _parent_newton_step(k, mu, cfg, f))
         assert {name: buf.size for name, buf in bethe._SCRATCH.items()} == {
-            "nm_a": 1025 * 512, "nm_b": 1025 * 512, "mm_a": 512 * 512, "mm_b": 512 * 512}
+            "nm_x": 1025 * 512, "nm_a": 1025 * 512, "nm_b": 1025 * 512,
+            "mm_x": 512 * 512, "mm_a": 512 * 512}
+
+    @pytest.mark.parametrize("U", [0.7, 3.0])
+    @pytest.mark.parametrize("L", [13, 385, 1025])
+    @pytest.mark.parametrize("state", ["ground", "charge_excitation", "first_excitation"])
+    def test_newton_on_reused_differences_is_bit_identical(self, monkeypatch, state, L, U):
+        # a whole solve, every step on the differences its residual left,
+        # against the same solve on the out-of-place references
+        config = quantum_numbers(state, L, U)
+        new = solve(config)
+        monkeypatch.setattr(bethe, "_residual", _parent_residual)
+        monkeypatch.setattr(bethe, "_newton_step",
+                            lambda k, mu, config, f, reuse=False: _parent_newton_step(k, mu, config, f))
+        old = solve(config)
+        assert np.array_equal(new.k, old.k) and np.array_equal(new.mu, old.mu)
+        assert (new.residual_norm, new.iterations) == (old.residual_norm, old.iterations)
 
 
 def _finite_difference_jacobian(fun, x, h=1e-6):
@@ -365,15 +381,74 @@ class TestDampedNewton:
         assert np.all(np.diff(lam) > 0)
 
     def test_every_solve_stops_at_the_one_gate(self, monkeypatch):
+        # a looser gate stops each run at the first iterate of the strict run
+        # at or below it, with that residual, whatever the iterate sequence
         config = quantum_numbers("ground", 65, 2.0)
+        histories = _spy_residual_histories(monkeypatch)
         strict = solve(config)
+        bethe._twisted_heisenberg_solve(config)
+        strict_histories = histories[:]
+        assert len(strict_histories) == 2
+        assert strict.iterations == len(strict_histories[0]) - 1
+        assert strict.residual_norm == strict_histories[0][-1] <= 1e-12
+        assert strict_histories[1][-1] <= 1e-12
+        histories.clear()
         monkeypatch.setattr(bethe, "_TOL", 1e-6)
         loose = solve(config)
-        assert 1e-12 < loose.residual_norm <= 1e-6
-        assert loose.iterations < strict.iterations
-        # the twisted chain is the rapidity block of the equations at U = 2
-        lam = bethe._twisted_heisenberg_solve(config)
-        assert 1e-12 < np.max(np.abs(bethe._residual(np.zeros(65), lam, config)[65:])) <= 1e-6
+        bethe._twisted_heisenberg_solve(config)
+        for strict_history, loose_history in zip(strict_histories, histories, strict=True):
+            first = next(j for j, r in enumerate(strict_history) if r <= 1e-6)
+            assert loose_history == strict_history[:first + 1]
+        assert loose.iterations == len(histories[0]) - 1
+        assert loose.residual_norm == histories[0][-1]
+
+    def test_each_step_follows_the_residual_at_its_point(self):
+        # the contract the reused differences rest on: newton_step(x, f) comes
+        # right after f = residual(x), also after a rejected trial point
+        config = quantum_numbers("first_excitation", 13, 0.25)
+        n = len(config.q1)
+        last, calls = {}, {"residual": 0, "step": 0}
+
+        def residual(x):
+            calls["residual"] += 1
+            f = bethe._residual(x[:n], x[n:], config)
+            if calls["residual"] == 2:
+                f = np.full_like(f, np.inf)  # reject the first trial: the step is halved
+            last["x"], last["f"] = x, f
+            return f
+
+        def newton_step(x, f):
+            calls["step"] += 1
+            assert x is last["x"] and f is last["f"]
+            step = bethe._newton_step(x[:n], x[n:], config, f, reuse=True).copy()
+            assert np.array_equal(step, bethe._newton_step(x[:n], x[n:], config, f))
+            return step
+
+        _, res, its = bethe._damped_newton(
+            np.concatenate(bethe._counting_seed(config)), residual, newton_step)
+        assert res <= 1e-12 and calls["step"] == its
+        assert calls["residual"] > its + 1
+
+
+def _spy_residual_histories(monkeypatch):
+    """The max-norm residual at every iterate of each ``_damped_newton`` run,
+    the accepted one last, one list per run in call order."""
+    original, histories = bethe._damped_newton, []
+
+    def spy(x, residual, newton_step):
+        history = []
+        histories.append(history)
+
+        def step(x, f):
+            history.append(float(np.max(np.abs(f))))
+            return newton_step(x, f)
+
+        x, best, its = original(x, residual, step)
+        history.append(best)
+        return x, best, its
+
+    monkeypatch.setattr(bethe, "_damped_newton", spy)
+    return histories
 
 
 class TestValidatedRoots:

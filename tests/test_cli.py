@@ -515,6 +515,30 @@ class TestExitCodes:
         assert err == (f"usage error: coupling U={float(U)} is too small: U^2 underflows, "
                        "so U must be at least 1.492e-154\n")
 
+    @pytest.mark.parametrize("U", ["1.0000000000000002e150", "1.3e154", "1e200", "1e308"])
+    def test_coupling_above_the_kernel_bound(self, monkeypatch, capfd, U):
+        # the smallest float above 1e150, and couplings where the unbounded
+        # kernels overflow (1.3e154, 1e200) or the seeds turn to nan (1e308)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved at a coupling where the Bethe kernels overflow")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(["bethe", "--state", "ground", "--L", "13", "--U", U]) == 2
+        assert capfd.readouterr().err == (
+            f"usage error: coupling U={float(U)} is too large: the Bethe kernels overflow, "
+            "so U must be at most 1e+150\n")
+
+    @pytest.mark.parametrize("state,L", [("ground", 13), ("first_excitation", 13),
+                                         ("spin_excitation", 14)])
+    def test_largest_accepted_coupling_solves_without_overflow(self, capfd, state, L):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert cli.main(["bethe", "--state", state, "--L", str(L), "--U", "1e150",
+                             "--format", "json"]) == 0
+        out, err = capfd.readouterr()
+        rows = {row["quantity"]: row["value"] for row in json.loads(out)["rows"]}
+        assert err == ""
+        assert rows["residual_norm"] <= 1e-12 and np.isfinite(rows["energy"])
+
     def test_solver_failure_exit_code(self, monkeypatch, capsys):
         def boom(L, U):
             raise bethe.SolverError("did not converge", residual=1.0)

@@ -60,6 +60,27 @@ class TestStrongCouplingQuadrature:
             assert sum(len(x) for x, _ in liebwu._panel_nodes(U)) == 10 * liebwu._NODES
 
 
+class TestGaussLegendreRule:
+    def test_rule_is_built_once_and_read_only(self):
+        nodes, weights = liebwu._gauss_legendre()
+        assert liebwu._gauss_legendre()[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+
+    @pytest.mark.parametrize("U", [0.3, 2.0, 1e6])
+    def test_integrals_equal_those_on_a_fresh_rule(self, monkeypatch, U):
+        def integrals():
+            return [ground_energy_density(U), gap_infinite(U),
+                    *liebwu.counting_tables.__wrapped__(U)]
+
+        cached = integrals()
+        monkeypatch.setattr(liebwu, "_gauss_legendre",
+                            lambda: np.polynomial.legendre.leggauss(liebwu._NODES))
+        for old, new in zip(integrals(), cached, strict=True):
+            assert np.array_equal(old, new)
+
+
 class TestEnergyDensity:
     def test_consistent_with_finite_size_sequence(self):
         e_inf = ground_energy_density(2.0)
