@@ -336,6 +336,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "both" and not args.out:
+        parser.error("--format both writes two files and needs --out")
     args._t0 = time.time()
     args._command_line = " ".join(argv)
     try:

@@ -597,7 +597,7 @@ class TestLadder:
 
         monkeypatch.setattr(bethe, "_newton", stall_from_seed)
         roots = solve(config, seed=seed)
-        seeded_k, seeded_mu = bethe._size_seed(config, seed)
+        seeded_k, seeded_mu = bethe._start(config, seed)
         assert np.array_equal(starts[0][0], seeded_k) and np.array_equal(starts[0][1], seeded_mu)
         assert starts[0][2] == 2.0
         # the next run is the continuation's first coupling, not the target,
@@ -637,13 +637,21 @@ class TestLadder:
         assert state_roots("ground", L, U).iterations <= 3
         assert calls == [(L, _HALF_SIZE[L])]
 
-    @pytest.mark.parametrize("state,L,U", [("ground", 225, 2.0), ("charge_excitation", 385, 4.0)])
-    def test_relaxed_seed_keeps_order_and_lowers_the_residual(self, monkeypatch, state, L, U):
-        below = state_roots(state, _HALF_SIZE[L], U)
+    @pytest.mark.parametrize("state,L,U,seed_state,seed_L", [
+        pytest.param("ground", 225, 2.0, "ground", 111, id="ground-225-2.0"),
+        pytest.param("charge_excitation", 385, 4.0, "charge_excitation", 191,
+                     id="charge_excitation-385-4.0"),
+        # the outermost q2 + shift2 of the odd charge excitation lies beyond
+        # the range of the ground's, where the seed's deviation is held
+        pytest.param("charge_excitation", 385, 4.0, "ground", 385,
+                     id="charge_excitation-385-4.0-from-ground")])
+    def test_relaxed_seed_keeps_order_and_lowers_the_residual(
+            self, monkeypatch, state, L, U, seed_state, seed_L):
+        seed = state_roots(seed_state, seed_L, U)
         config = quantum_numbers(state, L, U)
-        k, mu = bethe._size_seed(config, below)
+        k, mu = bethe._start(config, seed)
         monkeypatch.setattr(bethe, "_relax_edges", lambda k, mu, config: (k, mu))
-        bare_k, bare_mu = bethe._size_seed(config, below)
+        bare_k, bare_mu = bethe._start(config, seed)
         for roots, q in ((k, config.q1), (mu, config.q2)):
             assert np.all(np.sign(np.diff(roots)) == np.sign(np.diff(np.array(q, dtype=float))))
         # only the outermost roots move

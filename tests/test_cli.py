@@ -582,6 +582,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "quantity,U,value"
 
+    def test_both_formats_without_out_are_refused(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a gap whose output has nowhere to go")
+
+        monkeypatch.setattr(bethe, "charge_gap", no_solve)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gap", "--U", "2", "--L", "62", "--format", "both"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--out" in err
+
     def test_stdout_json_digests_its_csv(self, capsys):
         assert cli.main(["liebwu", "xi", "--U", "2"]) == 0
         csv = capsys.readouterr().out
