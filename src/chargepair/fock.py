@@ -9,10 +9,13 @@ ascending site:
 
 A basis state is encoded as a single 2L-bit word ``up_bits | down_bits << L``
 and the basis is enumerated in increasing word order, so the local ordering
-at L = 1 is (empty, up, down, up+down).  The many-body state attached to a
-word is the product of creation operators applied in ascending mode order to
-the vacuum; fermionic signs follow from counting occupied modes below the
-target mode.
+at L = 1 is (empty, up, down, up+down).  On the full space the row of a word
+is the word itself; in a particle-number sector it is read from two rank
+tables over the 2^L patterns of one spin block (Lin's two-table index).
+The many-body state attached to a word is the product of creation operators
+applied in ascending mode order to the vacuum; fermionic signs follow from
+the parity of the occupied modes below the target mode, read from a 16-bit
+parity table.
 
 The same bits also carry the 2L qubits of a spin chain.  The sign-free factor
 kinds act on one bit without the parity of the lower modes: ``RAISE`` sets it,
@@ -27,7 +30,7 @@ the canonical words, signs included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,29 +77,69 @@ def _check_L(L: int) -> None:
         raise ValueError(f"site count L={L} outside 1..{MAX_SITES}")
 
 
+def _pattern_ranks(L: int, n: int) -> np.ndarray:
+    """rank[p] = position of the L-bit pattern p among the patterns with n
+    set bits in increasing order, and -1 for a pattern with another count."""
+    patterns = np.arange(1 << L, dtype=np.int64)
+    inside = sum((patterns >> b) & 1 for b in range(L)) == n
+    rank = np.full(1 << L, -1, dtype=np.int64)
+    rank[inside] = np.arange(np.count_nonzero(inside))
+    return rank
+
+
 def _basis_words(L: int, sector: Optional[Sector] = None) -> np.ndarray:
     """Sorted int64 array of the encoded words spanning the basis.
 
-    This is the one definition of the basis order: every enumeration, index
-    lookup and operator matrix of this module follows it.
+    This is the one definition of the basis order, and ``_basis_rows`` is its
+    inverse: both read the same rank tables, and every enumeration, index
+    lookup and operator matrix of this module follows them.
     """
     _check_L(L)
     if sector is None:
         return np.arange(4**L, dtype=np.int64)
     sector.validate(L)
-    patterns = np.arange(1 << L, dtype=np.int64)
-    counts = sum((patterns >> b) & 1 for b in range(L))
-    ups = patterns[counts == sector.n_up]
-    downs = patterns[counts == sector.n_down]
+    ups = np.flatnonzero(_pattern_ranks(L, sector.n_up) >= 0)
+    downs = np.flatnonzero(_pattern_ranks(L, sector.n_down) >= 0)
     # down bits are the high block, so down-major order is increasing order
     return ((downs[:, None] << L) | ups[None, :]).ravel()
 
 
+def _basis_rows(L: int, sector: Optional[Sector] = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The inverse of ``_basis_words``: a map from words to their rows, -1
+    for a word outside the sector.
+
+    On the full space the row is the word.  In a sector it is
+    ``rank_dn[w >> L] * n_ups + rank_up[w & mask]`` (down-major order).
+    """
+    if sector is None:
+        return lambda w: w
+    rank_up = _pattern_ranks(L, sector.n_up)
+    rank_dn = _pattern_ranks(L, sector.n_down)
+    n_ups, mask = np.count_nonzero(rank_up >= 0), (1 << L) - 1
+
+    def rows(w: np.ndarray) -> np.ndarray:
+        up, dn = rank_up[w & mask], rank_dn[w >> L]
+        return np.where((up < 0) | (dn < 0), -1, dn * n_ups + up)
+
+    return rows
+
+
+def _parity_table() -> np.ndarray:
+    """uint8 parity of every 16-bit word, from the parities of the bytes."""
+    byte = np.zeros(256, dtype=np.uint8)
+    for b in range(8):
+        byte ^= (np.arange(256, dtype=np.uint8) >> b) & 1
+    return (byte[:, None] ^ byte[None, :]).ravel()
+
+
+_PARITY16 = _parity_table()
+_PARITY16.setflags(write=False)
+
+
 def _parity(words: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each word (XOR fold; words below 2**32)."""
-    for shift in (16, 8, 4, 2, 1):
-        words = words ^ (words >> shift)
-    return words & 1
+    """uint8 parity of the set bits of each word (table lookup; words below
+    2**24, which every 2L-bit word with L <= MAX_SITES is)."""
+    return _PARITY16[(words >> 16) ^ (words & 0xFFFF)]
 
 
 def _site_major_permutation(L: int) -> np.ndarray:
@@ -158,8 +201,14 @@ def assemble_operator(
     ``coefficient * identity``.  Factor kinds are the fermionic ``CREATE`` /
     ``ANNIHILATE`` and the sign-free ``RAISE`` / ``LOWER`` / ``Z``.  With a
     sector, any term mapping a sector state outside the block raises.
+
+    Each term acts on every basis word at once; the row of each output word
+    comes from ``_basis_rows`` (the word itself on the full space, two rank
+    tables in a sector) and the fermion signs from the ``_parity`` table.
+    Terms are added in the order given, and ``tocsr`` sums duplicates in
+    that order.
     """
-    words = _basis_words(L, sector)
+    words, rows_of = _basis_words(L, sector), _basis_rows(L, sector)
     dim = len(words)
 
     all_cols = np.arange(dim, dtype=np.int64)
@@ -189,8 +238,8 @@ def assemble_operator(
             if kind in (CREATE, ANNIHILATE):
                 odd = odd ^ _parity(w & ((1 << m) - 1))
             w = w ^ (1 << m)
-        row = np.minimum(np.searchsorted(words, w), dim - 1)
-        outside = words[row] != w
+        row = rows_of(w)
+        outside = row < 0
         if outside.any():
             i = int(np.argmax(outside))
             raise ValueError(

@@ -44,13 +44,16 @@ def _blockwise_eigvalsh(h: sp.csr_matrix) -> np.ndarray:
     """Sorted eigenvalues, one dense ``eigvalsh`` per connected component of the
     nonzero pattern.  The graph is built from the pattern, not the values: a
     purely imaginary coupling cast to float would read as zero and cut a
-    block apart.  A stable sort keeps each block's rows in their original
-    order, so ``eigvalsh`` reads the same lower-triangle entries as in ``h``."""
+    block apart.  ``h`` is permuted once into block order, and each block is
+    a contiguous diagonal slice of the result.  A stable sort keeps each
+    block's rows in their original order, so ``eigvalsh`` reads the same
+    lower-triangle entries as in ``h``."""
     pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
     _, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    pieces = [np.linalg.eigvalsh(_as_dense(h[b][:, b])) for b in blocks]
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    hp = h[order][:, order]
+    pieces = [np.linalg.eigvalsh(_as_dense(hp[a:b, a:b])) for a, b in zip([0] + ends, ends)]
     return np.sort(np.concatenate(pieces))
 
 

@@ -21,6 +21,7 @@ from chargepair.fock import (
     assemble_operator,
 )
 from chargepair.models import ModelParams
+from helpers import searchsorted_rows, xor_fold_parity
 
 
 def op(kind, spin, site):
@@ -50,6 +51,30 @@ class TestEnumeration:
                 words = _basis_words(4, Sector(n_up, n_down))
                 assert len(words) == comb(4, n_up) * comb(4, n_down)
         assert len(_basis_words(3)) == 64
+
+
+class TestBasisRows:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_rows_invert_the_words(self, L):
+        every_word = np.arange(4**L, dtype=np.int64)
+        for sector in [None] + [Sector(u, d) for u in range(L + 1) for d in range(L + 1)]:
+            words = _basis_words(L, sector)
+            rows = fock._basis_rows(L, sector)
+            assert np.array_equal(rows(words), np.arange(len(words)))
+            assert np.array_equal(rows(every_word), searchsorted_rows(words, every_word))
+
+
+class TestParity:
+    def test_every_16_bit_word_matches_the_xor_fold(self):
+        words = np.arange(1 << 16, dtype=np.int64)
+        parity = fock._parity(words)
+        assert parity.dtype == np.uint8
+        assert np.array_equal(parity, xor_fold_parity(words))
+
+    def test_random_words_below_the_largest_chain_match_the_xor_fold(self):
+        assert 2 * fock.MAX_SITES <= 24
+        words = np.random.default_rng(5).integers(0, 1 << 24, size=100_000, dtype=np.int64)
+        assert np.array_equal(fock._parity(words), xor_fold_parity(words))
 
 
 class TestApplyMode:

@@ -269,6 +269,20 @@ class TestSectorStructure:
                 dev = maxabs(np.sort(np.linalg.eigvalsh(a)) - np.sort(np.linalg.eigvalsh(b)))
                 assert dev <= 1e-11
 
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_sector_blocks_restrict_the_full_operator(self, L):
+        # the rows of a sector block come from fock's rank tables, the full
+        # space's from the words themselves; restricting the full operator to
+        # the sector's words checks the tables entry for entry
+        p = ModelParams(L=L, U=1.7)
+        full = build_model("charge_pair_transformed", p)
+        for n_up in range(L + 1):
+            for n_down in range(L + 1):
+                sector = Sector(n_up, n_down)
+                words = fock._basis_words(L, sector)
+                block = dense(build_model("charge_pair_transformed", p, sector=sector))
+                assert np.array_equal(block, dense(full[words][:, words]))
+
     def test_sector_blocks_tile_the_full_spectrum(self):
         L = 3
         p = ModelParams(L=L, U=1.1)

@@ -13,7 +13,7 @@ from chargepair.spectra import (
     reference_state_residual,
     spectrum,
 )
-from helpers import translation_expectation
+from helpers import gathered_blockwise_eigvalsh, translation_expectation
 
 
 def dense(m):
@@ -76,6 +76,14 @@ class TestSpectrum:
         seen.clear()
         spectrum(build_model("charge_pair_transformed", ModelParams(L=3, U=2.0)))
         assert any(np.iscomplexobj(b) for b in seen)
+
+    @pytest.mark.parametrize("kind,L", [("hubbard", 3), ("hubbard", 4),
+                                        ("charge_pair", 4), ("charge_pair", 5)])
+    def test_block_order_gather_is_bit_identical_to_per_block_gather(self, kind, L):
+        h = build_model(kind, ModelParams(L=L, U=2.0))
+        if not np.any(h.data.imag):
+            h = h.real  # as spectrum passes it
+        assert np.array_equal(spectra._blockwise_eigvalsh(h), gathered_blockwise_eigvalsh(h))
 
     def test_large_dimension_needs_k(self):
         big = sp.identity(5000, format="csr", dtype=complex)
