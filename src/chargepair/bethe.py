@@ -31,8 +31,19 @@ from . import liebwu
 EVEN = "even"
 ODD = "odd"
 
-STATES_EVEN = ("ground", "charge_excitation", "spin_excitation")
-STATES_ODD = ("ground", "first_excitation", "charge_excitation")
+#: the tabulated states of each parity class, each as (N - L, M - L//2,
+#: centre of q1, centre of q2, orientation s): the first excitation of an odd
+#: ring is its ground mirrored, q -> -q (Takahashi 1972 for the branch numbers)
+_STATES = {
+    EVEN: {"ground": (0, 0, 0.5, 0.0, 1),
+           "charge_excitation": (-1, -1, 0.5, -0.5, 1),
+           "spin_excitation": (0, -1, 0.0, 0.0, 1)},
+    ODD: {"ground": (0, 0, 0.5, -0.5, 1),
+          "first_excitation": (0, 0, 0.5, -0.5, -1),
+          "charge_excitation": (-1, 0, 0.0, 0.0, 1)},
+}
+STATES_EVEN = tuple(_STATES[EVEN])
+STATES_ODD = tuple(_STATES[ODD])
 
 
 class SolverError(RuntimeError):
@@ -109,19 +120,14 @@ class BetheRoots:
     iterations: int
 
 
-def _branch_numbers(start: float, step: int, count: int) -> Tuple[float, ...]:
-    """start, start + step, ... (count terms), exact for a start on the quarter lattice."""
-    return tuple((start + step * np.arange(count)).tolist())
-
-
 def parity(L: int) -> str:
     """Parity class of the size L: ``ODD`` for odd L, ``EVEN`` for L = 2
     (mod 4).  Multiples of four share the spectrum of the plain hopping
     chain, belong to neither class and raise ``ValueError``; so does L < 1."""
-    if L % 4 == 0:
-        raise ValueError(f"even sizes need L = 2 (mod 4), got L={L}")
     if L < 1:
         raise ValueError(f"sizes must be at least 1, got L={L}")
+    if L % 4 == 0:
+        raise ValueError(f"even sizes need L = 2 (mod 4), got L={L}")
     return ODD if L % 2 else EVEN
 
 
@@ -135,42 +141,23 @@ _MAX_L = 4096
 
 
 def quantum_numbers(state: str, L: int, U: float) -> BetheConfig:
-    """Branch numbers of the tabulated low-lying states.
-
-    The states on offer follow from ``parity(L)``: ``STATES_EVEN`` at
-    L = 2 (mod 4), ``STATES_ODD`` at odd L; any other size raises
-    ``ValueError``, and so does a size above ``_MAX_L``, before any branch
-    number is built.
-    """
+    """Branch numbers of a tabulated state, from ``_STATES[parity(L)][state]``:
+    q1 falls and q2 rises in unit steps about their centres, times the
+    orientation s.  The states on offer are ``STATES_EVEN`` at L = 2 (mod 4)
+    and ``STATES_ODD`` at odd L; any other size raises ``ValueError``, and so
+    does a size above ``_MAX_L``, before any branch number is built."""
     if L > _MAX_L:
         raise ValueError(f"size L={L} is above the largest solved size {_MAX_L}: "
                          "the float64 residual no longer reaches the 1e-12 gate there")
-    if parity(L) == EVEN:
-        if state == "ground":
-            q1 = _branch_numbers(L / 2, -1, L)
-            q2 = _branch_numbers(-(L - 2) / 4, 1, L // 2)
-        elif state == "charge_excitation":
-            q1 = _branch_numbers((L - 1) / 2, -1, L - 1)
-            q2 = _branch_numbers(-(L - 2) / 4, 1, L // 2 - 1)
-        elif state == "spin_excitation":
-            q1 = _branch_numbers((L - 1) / 2, -1, L)
-            q2 = _branch_numbers(-(L - 4) / 4, 1, L // 2 - 1)
-        else:
-            raise ValueError(f"unsupported even-parity state {state!r}")
-        return BetheConfig(L, U, q1, q2)
-
-    if state == "ground":
-        q1 = _branch_numbers(L / 2, -1, L)
-        q2 = _branch_numbers(-(L - 1) / 4, 1, (L - 1) // 2)
-    elif state == "first_excitation":
-        q1 = _branch_numbers(-L / 2, 1, L)
-        q2 = _branch_numbers((L - 1) / 4, -1, (L - 1) // 2)
-    elif state == "charge_excitation":
-        q1 = _branch_numbers((L - 2) / 2, -1, L - 1)
-        q2 = _branch_numbers(-(L - 3) / 4, 1, (L - 1) // 2)
-    else:
-        raise ValueError(f"unsupported odd-parity state {state!r}")
-    return BetheConfig(L, U, q1, q2)
+    par = parity(L)
+    if state not in _STATES[par]:
+        raise ValueError(f"unsupported {par}-parity state {state!r}")
+    dn, dm, c1, c2, s = _STATES[par][state]
+    n, m = L + dn, L // 2 + dm
+    # s on the centre and on the steps apart, so that a zero is +0.0, not -0.0
+    q1 = s * (c1 + (n - 1) / 2) - s * np.arange(n)
+    q2 = s * (c2 - (m - 1) / 2) + s * np.arange(m)
+    return BetheConfig(L, U, tuple(q1.tolist()), tuple(q2.tolist()))
 
 
 def _theta(x: np.ndarray, c: float, U: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -211,11 +198,6 @@ def _scratch(name: str, rows: int, cols: int) -> np.ndarray:
     if buf is None or buf.size < rows * cols:
         buf = _SCRATCH[name] = np.empty(rows * cols)
     return buf[:rows * cols].reshape(rows, cols)
-
-
-def bethe_residual(roots: BetheRoots) -> np.ndarray:
-    """Stacked left-minus-right sides of the two logarithmic equation sets."""
-    return _residual(roots.k, roots.mu, roots.config)
 
 
 def _differences(k: np.ndarray, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -403,7 +385,7 @@ def _start(config: BetheConfig, seed: Optional[BetheRoots] = None) -> Tuple[np.n
     a solved ``seed`` at the same U, of any class and size, each root also
     takes the seed's deviation from its own counting seed, interpolated over
     (q + shift)/L and held at its end values beyond the seed's range, and
-    then the few outermost roots of each level are relaxed
+    then the few outermost roots of each level take scalar Newton steps
     (``_relax_edges``).  The deviation is small and smooth, so it is held,
     not extrapolated, beyond the end nodes; its error gathers at the edges
     of the real-root class: without the relaxation the charge
@@ -421,11 +403,10 @@ def _start(config: BetheConfig, seed: Optional[BetheRoots] = None) -> Tuple[np.n
     return _relax_edges(k, mu, config)
 
 
-#: roots relaxed at each end of either level of a seeded start, the relaxation
-#: sweeps, and the step halvings each relaxed root may take
+#: roots relaxed at each end of either level of a seeded start, and the
+#: relaxation sweeps
 _EDGE_ROOTS = 3
 _EDGE_SWEEPS = 2
-_EDGE_HALVINGS = 4
 
 
 def _relax_edges(
@@ -433,27 +414,27 @@ def _relax_edges(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Relax the outermost ``_EDGE_ROOTS`` momenta and rapidities at each end
     of a seed, in place: ``_EDGE_SWEEPS`` sweeps of the momenta, then the
-    rapidities, each root against its own equation with every other root
-    held.  A sweep costs O(_EDGE_ROOTS (n + m))."""
+    rapidities, each a scalar Newton step per root (``_relax_level``) against
+    its own equation with every other root held.  A sweep costs
+    O(_EDGE_ROOTS (n + m))."""
     U, L = config.U, config.L
     ik, im = (i[(i < _EDGE_ROOTS) | (i >= len(i) - _EDGE_ROOTS)]
               for i in (np.arange(len(k)), np.arange(len(mu))))
     a1, a2 = config.targets[0][ik], config.targets[1][im]
     rows = np.arange(len(im))
 
-    def own_k(kk, slope=False):
+    # _theta without ``out`` writes over its argument: each _dtheta comes first
+    def own_k(kk):
         x = np.subtract.outer(np.sin(kk), mu)
-        d = L + np.cos(kk) * _dtheta(x, 4.0, U).sum(axis=1) if slope else None
+        d = L + np.cos(kk) * _dtheta(x, 4.0, U).sum(axis=1)
         return L * kk - a1 + 2.0 * _theta(x, 4.0, U).sum(axis=1), d
 
-    def own_mu(mm, slope=False):
+    def own_mu(mm):
         x = np.subtract.outer(mm, np.sin(k))
         y = np.subtract.outer(mm, mu)
-        d = None
-        if slope:
-            e = _dtheta(y, 2.0, U)
-            e[rows, im] = 0.0  # a rapidity does not scatter on itself
-            d = _dtheta(x, 4.0, U).sum(axis=1) - e.sum(axis=1)
+        e = _dtheta(y, 2.0, U)
+        e[rows, im] = 0.0  # a rapidity does not scatter on itself
+        d = _dtheta(x, 4.0, U).sum(axis=1) - e.sum(axis=1)
         t2 = _theta(y, 2.0, U)
         t2[rows, im] = 0.0
         return 2.0 * _theta(x, 4.0, U).sum(axis=1) - a2 - 2.0 * t2.sum(axis=1), d
@@ -465,31 +446,22 @@ def _relax_edges(
 
 
 def _relax_level(x: np.ndarray, idx: np.ndarray, own: Callable) -> None:
-    """One damped scalar Newton step on each root x[idx], in place.
-    ``own(values, slope)`` gives the residuals of the roots x[idx] moved to
-    ``values``, each against its own equation, and with ``slope`` their
-    derivatives.  A root takes the longest of the steps 1, 1/2, ...
-    1/2^_EDGE_HALVINGS that lowers its own residual, and keeps it only if it
+    """One scalar Newton step on each root x[idx], in place.  ``own(values)``
+    gives the residuals of the roots x[idx] at ``values``, each against its
+    own equation, and their derivatives.  A root keeps its step only if it
     is shorter than the gap to the root's nearest neighbour and the roots
-    stay in branch order.  A longer step means the neighbours are off too,
+    stay in branch order: a longer step means the neighbours are off too,
     and the root stays."""
     old = x[idx]
-    f, d = own(old, slope=True)
-    step = f / d
-    new, moved = old.copy(), np.zeros(len(idx), dtype=bool)
-    for j in range(_EDGE_HALVINGS + 1):
-        trial = old - step / 2**j
-        better = ~moved & (np.abs(own(trial)[0]) < np.abs(f))
-        new[better], moved = trial[better], moved | better
-        if moved.all():
-            break
+    f, d = own(old)
+    new = old - f / d
     gaps = np.concatenate(([np.inf], np.abs(x[1:] - x[:-1]), [np.inf]))
-    moved &= np.abs(new - old) < np.minimum(gaps[idx], gaps[idx + 1])
+    short = np.abs(new - old) < np.minimum(gaps[idx], gaps[idx + 1])
     stepped = x.copy()
     stepped[idx] = new
     pairs_in_order = (stepped[1:] - stepped[:-1]) * (x[1:] - x[:-1]) > 0
     in_order = np.concatenate(([True], pairs_in_order, [True]))
-    x[idx] = np.where(moved & in_order[idx] & in_order[idx + 1], new, old)
+    x[idx] = np.where(short & in_order[idx] & in_order[idx + 1], new, old)
 
 
 def _starts(config: BetheConfig, seed: Optional[BetheRoots]):

@@ -74,7 +74,10 @@ def emit(args, rows: List[Dict], deviations: Optional[List[Dict]] = None) -> Non
 
 
 def _parse_sizes(text: str) -> List[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    sizes = [int(t) for t in text.split(",") if t.strip()]
+    if not sizes:
+        raise ValueError(f"--sizes names no size, got {text!r}")
+    return sizes
 
 
 def _parse_sector(text: str) -> Sector:
@@ -209,7 +212,7 @@ def cmd_reproduce(args) -> tuple:
         raise ValueError(f"{table} has no column U={args.U:g}; its couplings are "
                          + ", ".join(f"{u:g}" for u in sorted(ref)))
     default_sizes = sorted(next(iter(ref.values())).keys()) if ref else [2]
-    sizes = _parse_sizes(args.sizes) if args.sizes else default_sizes
+    sizes = default_sizes if args.sizes is None else _parse_sizes(args.sizes)
     for L in sizes:
         if L not in default_sizes:
             raise ValueError(f"{table} has no size L={L}; its sizes are "

@@ -317,10 +317,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["gap", "--L", "100000000", "--U", "2"],
                                       ["bethe", "--state", "ground", "--L", "4097", "--U", "2"]])
     def test_size_above_the_limit_fails_before_any_branch_number(self, monkeypatch, capsys, argv):
-        def no_branch_numbers(*args, **kwargs):
-            raise AssertionError("built branch numbers above the size limit")
+        class NoBranchNumbers(dict):
+            def __getitem__(self, key):
+                raise AssertionError("built branch numbers above the size limit")
 
-        monkeypatch.setattr(bethe, "_branch_numbers", no_branch_numbers)
+        monkeypatch.setattr(bethe, "_STATES", NoBranchNumbers())
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"L={argv[argv.index('--L') + 1]}" in err and str(bethe._MAX_L) in err
@@ -336,6 +337,19 @@ class TestExitCodes:
         monkeypatch.setattr(bethe, "solve", no_solve)
         assert cli.main(argv) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["reproduce", "table4", "--U", "2", "--sizes", ","],
+                                      ["reproduce", "table2", "--sizes", ","],
+                                      ["reproduce", "table2", "--sizes", ""],
+                                      ["scaling-dim", "--j", "0", "--sizes", ",", "--U", "2"]])
+    def test_sizes_naming_no_size_fail_before_any_solve(self, monkeypatch, capsys, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with no size given")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error: --sizes names no size" in err
 
     def test_dimension_size_above_the_limit_fails_before_any_solve(self, monkeypatch, capsys):
         def no_solve(*args, **kwargs):
@@ -383,7 +397,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["bethe", "--state", "ground", "--L", "-1", "--U", "2"],
                                       ["gap", "--L", "-3", "--U", "2"],
-                                      ["central-charge", "--L", "-2", "--U", "2"]])
+                                      ["central-charge", "--L", "-2", "--U", "2"],
+                                      ["gap", "--L", "0", "--U", "2"],
+                                      ["bethe", "--state", "ground", "--L", "-4", "--U", "2"]])
     def test_size_below_one_fails_before_any_solve(self, monkeypatch, capsys, argv):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved at a size below one")
