@@ -77,6 +77,9 @@ def _parse_sizes(text: str) -> List[int]:
     sizes = [int(t) for t in text.split(",") if t.strip()]
     if not sizes:
         raise ValueError(f"--sizes names no size, got {text!r}")
+    repeated = sorted({L for L in sizes if sizes.count(L) > 1})
+    if repeated:
+        raise ValueError("--sizes repeats " + ", ".join(f"L={L}" for L in repeated))
     return sizes
 
 

@@ -124,6 +124,17 @@ def _basis_rows(L: int, sector: Optional[Sector] = None) -> Callable[[np.ndarray
     return rows
 
 
+def _mirror_rows(L: int, sector: Sector) -> np.ndarray:
+    """mirror[r] = row of the mirror image j -> L + 1 - j of row r's word, by
+    a 2^L table that reverses the L bits of each spin block.  Its reordering
+    sign, (-1)^(n_up (n_up - 1) / 2 + n_down (n_down - 1) / 2), is constant
+    on a sector, so on a block the mirror is this plain row permutation."""
+    patterns = np.arange(1 << L, dtype=np.int64)
+    rev = sum(((patterns >> b) & 1) << (L - 1 - b) for b in range(L))
+    words = _basis_words(L, sector)
+    return _basis_rows(L, sector)(rev[words & ((1 << L) - 1)] | (rev[words >> L] << L))
+
+
 def _parity_table() -> np.ndarray:
     """uint8 parity of every 16-bit word, from the parities of the bytes."""
     byte = np.zeros(256, dtype=np.uint8)

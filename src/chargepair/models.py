@@ -117,14 +117,41 @@ def _charge_pair_terms(params: ModelParams) -> List[fock.Term]:
     return terms + _charge_terms(params, 2 * params.h1, 2 * params.h2)
 
 
+def _transformed_terms(params: ModelParams) -> List[fock.Term]:
+    """Hopping phases exp(+-i pi/2), opposite for up and down, plus U."""
+    return _hopping_terms(params.L, 1j, -1j) + _interaction_terms(params.L, params.U)
+
+
+def _real_block(h: sp.csr_matrix, mirror: np.ndarray) -> sp.csr_matrix:
+    """Re(Q^dag h Q) as float64 CSR for a block with P h P = conj(h), P the
+    row permutation ``mirror``.  Q's columns, e_a for a = P a, and
+    (e_a + e_b)/sqrt(2) at a and i (e_a - e_b)/sqrt(2) at b for a < b = P a,
+    are fixed by P times conjugation, so Q^dag h Q is real; an imaginary part
+    above rounding, 1e-12 max|h|, raises ``RuntimeError``, never dropped."""
+    r = np.arange(len(mirror))
+    # a fixed row gets 1/2 twice, and the constructor sums them
+    d = np.select([r < mirror, r > mirror], [np.sqrt(0.5), -1j * np.sqrt(0.5)], 0.5)
+    rows, cols = np.concatenate([r, mirror]), np.concatenate([r, r])
+    q = sp.csr_matrix((np.concatenate([d, d.conj()]), (rows, cols)), shape=h.shape)
+    block = q.conj().T.tocsr() @ (h @ q)
+    dev = abs(block.imag).max()
+    if dev > 1e-12 * abs(h).max():
+        raise RuntimeError(f"mirror-conjugation block keeps an imaginary part {dev:.3e}")
+    real = block.real
+    real.eliminate_zeros()
+    return real
+
+
 def build_model(
     kind: str, params: ModelParams, sector: Optional[Sector] = None
 ) -> sp.csr_matrix:
-    """Matrix of the requested model on the full chain space.
+    """Matrix of the requested model on the full chain space, complex CSR.
 
     ``sector`` restricts to a particle-number block and is supported for the
-    transformed model only (the others do not conserve mode numbers).  A U
-    that is not finite raises ``ValueError``.
+    transformed model only (the others do not conserve mode numbers); the
+    block is float64 CSR in ``_real_block``'s mirror basis, which no gauge
+    replaces at odd L (the ring's twist i^L is not real).  A U that is not
+    finite raises ``ValueError``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -143,9 +170,8 @@ def build_model(
     if kind == "charge_pair":
         return fock.assemble_operator(L, _charge_pair_terms(params))
     if kind == "charge_pair_transformed":
-        # hopping phases exp(+-i pi/2): up and down move with opposite sign
-        terms = _hopping_terms(L, 1j, -1j) + _interaction_terms(L, params.U)
-        return fock.assemble_operator(L, terms, sector=sector)
+        h = fock.assemble_operator(L, _transformed_terms(params), sector=sector)
+        return h if sector is None else _real_block(h, fock._mirror_rows(L, sector))
     if kind == "spin_coupled":
         return _spin_chain(L, params.U, _pair_bond, _pair_bond)
     if kind == "spin_xx":

@@ -351,6 +351,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "usage error: --sizes names no size" in err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["reproduce", "table4", "--U", "2", "--sizes", "62,62"], "L=62"),
+        (["reproduce", "table8", "--U", "2", "--sizes", "65,145,65,145"], "L=65, L=145"),
+        (["scaling-dim", "--j", "0", "--sizes", "65,65", "--U", "2"], "L=65"),
+        (["extrapolate", "--sizes", "10,20,20", "--values", "1,0.5,0.4"], "L=20")])
+    def test_repeated_size_fails_before_any_solve(self, monkeypatch, capsys, argv, named):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a repeated size")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"usage error: --sizes repeats {named}" in err
+
     def test_dimension_size_above_the_limit_fails_before_any_solve(self, monkeypatch, capsys):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved the smaller sizes of a series with one above the limit")

@@ -273,14 +273,16 @@ class TestSectorStructure:
     def test_sector_blocks_restrict_the_full_operator(self, L):
         # the rows of a sector block come from fock's rank tables, the full
         # space's from the words themselves; restricting the full operator to
-        # the sector's words checks the tables entry for entry
+        # the sector's words checks the tables entry for entry (on the
+        # canonical block, before build_model's change of basis)
         p = ModelParams(L=L, U=1.7)
-        full = build_model("charge_pair_transformed", p)
+        terms = models._transformed_terms(p)
+        full = fock.assemble_operator(L, terms)
         for n_up in range(L + 1):
             for n_down in range(L + 1):
                 sector = Sector(n_up, n_down)
                 words = fock._basis_words(L, sector)
-                block = dense(build_model("charge_pair_transformed", p, sector=sector))
+                block = dense(fock.assemble_operator(L, terms, sector=sector))
                 assert np.array_equal(block, dense(full[words][:, words]))
 
     def test_sector_blocks_tile_the_full_spectrum(self):
@@ -311,6 +313,88 @@ class TestSectorStructure:
         full = spectrum(build_model("charge_pair", p)).eigenvalues
         assert maxabs(union - full) <= 1e-10
         assert abs(full[0] - bethe.state_energy("ground", L, U)) <= 1e-10
+
+
+def _canonical_blocks(L, U):
+    """(sector, mirror rows, canonical complex block) of every sector, the
+    block cut from the full-space operator."""
+    full = build_model("charge_pair_transformed", ModelParams(L=L, U=U))
+    for n_up in range(L + 1):
+        for n_down in range(L + 1):
+            sector = Sector(n_up, n_down)
+            words = fock._basis_words(L, sector)
+            yield sector, fock._mirror_rows(L, sector), full[words][:, words]
+
+
+def _mirror_basis(mirror):
+    """The unitary Q column by column: e_a for a mirror-fixed row, and
+    (e_a + e_b)/sqrt(2) at column a, i (e_a - e_b)/sqrt(2) at column b for
+    each pair a < b."""
+    s = np.sqrt(0.5)
+    entries = []
+    for a, b in enumerate(mirror.tolist()):
+        if a == b:
+            entries.append((a, a, 1.0))
+        elif a < b:
+            entries += [(a, a, s), (b, a, s), (a, b, 1j * s), (b, b, -1j * s)]
+    rows, cols, vals = zip(*entries)
+    return sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(len(mirror),) * 2)
+
+
+#: couplings of the mirror-basis checks: 0.3 and 1.7 are not dyadic, so the
+#: canonical blocks' diagonal sums round differently in the mirrored order
+MIRROR_U = (0.3, 1.7, 2.0, 4.0)
+
+
+class TestMirrorBasis:
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+    def test_mirror_conjugates_the_canonical_block(self, L):
+        # P h P = conj(h); the diagonal sums U/4 z z over the sites in the
+        # mirrored order, so it is exact at dyadic U and within a few
+        # roundings of max|h| otherwise
+        for U in MIRROR_U:
+            for sector, mirror, h in _canonical_blocks(L, U):
+                r = np.arange(len(mirror))
+                assert np.array_equal(np.sort(mirror), r) and np.array_equal(mirror[mirror], r)
+                dev = abs(h[mirror][:, mirror] - h.conj()).max()
+                if U in (2.0, 4.0):
+                    assert dev == 0.0, (sector, U)
+                else:
+                    assert dev <= 8 * np.finfo(float).eps * abs(h).max(), (sector, U, dev)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+    def test_block_is_the_real_part_in_the_mirror_basis(self, L):
+        bases = {}
+        for U in MIRROR_U:
+            for sector, mirror, h in _canonical_blocks(L, U):
+                if sector not in bases:
+                    q = bases[sector] = _mirror_basis(mirror)
+                    assert abs(q.conj().T @ q - sp.identity(q.shape[0])).max() <= 1e-15
+                q = bases[sector]
+                block = build_model("charge_pair_transformed", ModelParams(L=L, U=U), sector=sector)
+                assert block.format == "csr" and block.dtype == np.float64
+                expected = q.conj().T @ (h @ q)
+                assert abs(expected.imag).max() <= 1e-12 * abs(h).max()
+                assert abs(block - expected.real).max() == 0.0, sector
+
+    @pytest.mark.parametrize("L,U", [(L, U) for L in range(2, 7) for U in MIRROR_U] + [(7, 1.7)])
+    def test_real_block_keeps_the_spectrum(self, L, U):
+        # the complex eigvalsh of the four 1225-state blocks at L = 7 takes
+        # about 4 s a coupling, so L = 7 runs at the non-dyadic U only
+        for sector, _, h in _canonical_blocks(L, U):
+            block = build_model("charge_pair_transformed", ModelParams(L=L, U=U), sector=sector)
+            dev = maxabs(np.linalg.eigvalsh(dense(block)) - np.linalg.eigvalsh(dense(h)))
+            assert dev <= 1e-12, (sector, dev)
+
+    def test_block_that_is_not_real_raises(self):
+        # a real hop on the bond (1, 2) alone breaks the mirror symmetry
+        L, sector = 3, Sector(1, 1)
+        terms = models._transformed_terms(ModelParams(L=L, U=1.7))
+        hop = [(0.5, [(fock.CREATE, UP, 1), (fock.ANNIHILATE, UP, 2)]),
+               (0.5, [(fock.CREATE, UP, 2), (fock.ANNIHILATE, UP, 1)])]
+        h = fock.assemble_operator(L, terms + hop, sector=sector)
+        with pytest.raises(RuntimeError, match="imaginary part"):
+            models._real_block(h, fock._mirror_rows(L, sector))
 
 
 class TestExtendedModel:
