@@ -266,12 +266,6 @@ def _jacobian_blocks(
     return dk, ck, d1, e
 
 
-def _jacobian(k: np.ndarray, mu: np.ndarray, config: BetheConfig) -> np.ndarray:
-    """Dense Jacobian of the residual: the reference the Schur step is tested against."""
-    dk, ck, d1, e = _jacobian_blocks(k, mu, config)
-    return np.block([[np.diag(dk), -d1], [-d1.T * ck, e]])
-
-
 def _newton_step(
     k: np.ndarray, mu: np.ndarray, config: BetheConfig, f: np.ndarray, reuse: bool = False
 ) -> np.ndarray:
@@ -620,46 +614,3 @@ def l2_closed_forms(U: float) -> List[dict]:
         {"sector": Sector(1, 1), "energy": -U / 2.0, "k": [0.0, np.pi],
          "mu": [0.0], "description": "k1 = 0; k2 = pi; mu1 = 0"},
     ]
-
-
-def _twisted_heisenberg_solve(config: BetheConfig) -> np.ndarray:
-    """Real roots lam of the twisted isotropic chain
-    n 2 atan(2 lam_m) = 2 pi (q2_m + shift2) + sum_l 2 atan(lam_m - lam_l), for
-    n = |q1|: the rapidity rows of the Bethe equations at U = 2 with every
-    sin k at zero, started from the tangent roots of n 2 atan(2 lam) =
-    2 pi (q2 + shift2) with their mutual scattering dropped, the argument
-    clipped short of its poles.  The reference of ``strong_coupling_check``."""
-    chain = replace(config, U=2.0)
-    n = len(config.q1)
-    k = np.zeros(n)
-    start = 0.5 * np.tan(np.clip(chain.targets[1] / (2.0 * n), -0.47 * np.pi, 0.47 * np.pi))
-    lam, _, _ = _damped_newton(
-        start,
-        lambda lam: _residual(k, lam, chain)[n:],
-        lambda lam, f: np.linalg.solve(_jacobian_blocks(k, lam, chain)[3], f),
-    )
-    return lam
-
-
-def strong_coupling_check(L: int, n: float, U: float) -> float:
-    """Deviation of the rescaled spin rapidities from the twisted-chain roots.
-
-    Solves the full equations in the half-filled sector with spin imbalance
-    2n, rescales mu -> 2 mu / U, and compares against the decoupled two-level
-    equation; the deviation decays like 1/U.
-    """
-    if L % 2 == 0:
-        raise ValueError("strong-coupling check is set up for odd L")
-    if U < 50:
-        raise ValueError("strong-coupling check expects U >= 50")
-    if n <= 0 or 2 * n != int(2 * n) or int(2 * n) % 2 == 0:
-        raise ValueError("spin imbalance n must be a positive half-odd integer")
-    n_down = (L - int(2 * n)) // 2
-    if n_down <= 0:
-        raise ValueError("sector has no spin rapidities")
-    ground = quantum_numbers("ground", L, U)
-    config = replace(ground, q2=ground.q2[:n_down])
-    roots = solve(config)
-    lam_full = np.sort(2.0 * roots.mu / U)
-    lam_ref = np.sort(_twisted_heisenberg_solve(config))
-    return float(np.max(np.abs(lam_full - lam_ref)))

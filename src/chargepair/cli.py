@@ -3,8 +3,8 @@
 Every run writes CSV (fixed column order, %.12g) and/or JSON artifacts; the
 JSON carries a manifest with the command line, parameter record, seed, tool
 version, wall time and a digest of the CSV body, so identical invocations
-are verifiable byte for byte.  Exit status: 0 success, 1 solver failure,
-2 usage error.
+are verifiable byte for byte.  Exit status: 0 success, 1 solver failure
+(a result that is not finite too), 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from functools import lru_cache, partial
@@ -344,6 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.format == "both" and not args.out:
         parser.error("--format both writes two files and needs --out")
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        parser.error(f"--out directory {out_dir!r} does not exist")
     args._t0 = time.time()
     args._command_line = " ".join(argv)
     try:
@@ -358,6 +363,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows, deviations = result
     else:
         rows, deviations = result, []
+    for row in rows:
+        for column, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                print(f"solver failure: {column} is {value}, not finite", file=sys.stderr)
+                return 1
     emit(args, rows, deviations)
     return 0
 

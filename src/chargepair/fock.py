@@ -176,30 +176,6 @@ def _site_major_sign(L: int) -> np.ndarray:
     return 1 - 2 * odd
 
 
-def apply_mode(
-    L: int, word: int, kind: str, spin: str, site: int
-) -> Optional[Tuple[int, int]]:
-    """Apply one creation/annihilation operator to the basis word of an
-    L-site chain.
-
-    Returns ``None`` when Pauli-blocked, else ``(sign, new_word)`` where the
-    sign is the parity of the occupied modes preceding the target in
-    canonical order.
-    """
-    m = mode_index(L, spin, site)
-    occupied = (word >> m) & 1
-    if kind == CREATE:
-        if occupied:
-            return None
-    elif kind == ANNIHILATE:
-        if not occupied:
-            return None
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    sign = -1 if (word & ((1 << m) - 1)).bit_count() & 1 else 1
-    return sign, word ^ (1 << m)
-
-
 def assemble_operator(
     L: int,
     terms: Iterable[Term],

@@ -3,7 +3,7 @@
 Every Hamiltonian and generator is assembled by
 :func:`chargepair.fock.assemble_operator`; :mod:`chargepair.fock` also owns
 the signed site-major map that carries Kronecker products of on-site
-factors, such as the basis rotation, onto its words.  Spin-chain models
+factors onto its words.  Spin-chain models
 live on the same 2L-bit layout and use its sign-free factor kinds: qubit
 ``j-1``, the bit of (UP, j), carries the sigma spin of site j and qubit
 ``L+j-1``, the bit of (DOWN, j), the tau spin, with bit value 1 meaning
@@ -18,10 +18,9 @@ element, with the fermionic ones.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,15 +52,10 @@ GENERATOR_KINDS = (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings of the model family; fluxes and chemical potentials default
-    to zero and are read only by the pairing chain ``charge_pair``."""
+    """Chain length and on-site coupling of every model of the family."""
 
     L: int
     U: float
-    theta_up: float = 0.0
-    theta_down: float = 0.0
-    h1: float = 0.0
-    h2: float = 0.0
 
 
 def _site_next(j: int, L: int) -> int:
@@ -89,32 +83,16 @@ def _hubbard_terms(params: ModelParams) -> List[fock.Term]:
     return _hopping_terms(params.L, -1.0, -1.0) + _interaction_terms(params.L, params.U)
 
 
-def _charge_terms(params: ModelParams, s: float, r: float) -> List[fock.Term]:
-    """s S + r R for the flux-dressed charges S, R of the pairing chain,
-    site by site (a zero weight drops its terms in the kernel)."""
-    half_diff = (params.theta_up - params.theta_down) / 2
-    half_sum = (params.theta_up + params.theta_down) / 2
-    terms: List[fock.Term] = []
-    for j in range(1, params.L + 1):
-        terms.append((s * 0.5j * np.exp(1j * half_diff), [(CREATE, DOWN, j), (ANNIHILATE, UP, j)]))
-        terms.append((s * -0.5j * np.exp(-1j * half_diff), [(CREATE, UP, j), (ANNIHILATE, DOWN, j)]))
-        terms.append((r * 0.5 * np.exp(-1j * half_sum), [(CREATE, UP, j), (CREATE, DOWN, j)]))
-        terms.append((r * 0.5 * np.exp(1j * half_sum), [(ANNIHILATE, DOWN, j), (ANNIHILATE, UP, j)]))
-    return terms
-
-
 def _charge_pair_terms(params: ModelParams) -> List[fock.Term]:
-    """Flux-dressed pair hopping plus interaction plus 2 h1 S + 2 h2 R; at
-    zero flux this is the pairing chain."""
+    """Pair hopping of both spins around the ring plus the interaction."""
     L = params.L
     terms: List[fock.Term] = []
     for j in range(1, L + 1):
         jn = _site_next(j, L)
-        for spin, th in ((UP, params.theta_up), (DOWN, params.theta_down)):
-            terms.append((np.exp(1j * th), [(ANNIHILATE, spin, j), (ANNIHILATE, spin, jn)]))
-            terms.append((np.exp(-1j * th), [(CREATE, spin, jn), (CREATE, spin, j)]))
-    terms += _interaction_terms(L, params.U)
-    return terms + _charge_terms(params, 2 * params.h1, 2 * params.h2)
+        for spin in (UP, DOWN):
+            terms.append((1.0, [(ANNIHILATE, spin, j), (ANNIHILATE, spin, jn)]))
+            terms.append((1.0, [(CREATE, spin, jn), (CREATE, spin, j)]))
+    return terms + _interaction_terms(L, params.U)
 
 
 def _transformed_terms(params: ModelParams) -> List[fock.Term]:
@@ -160,8 +138,6 @@ def build_model(
         raise ValueError("ring models need L >= 2")
     if not math.isfinite(params.U):
         raise ValueError(f"coupling U must be finite, got U={params.U}")
-    if kind != "charge_pair" and (params.theta_up or params.theta_down or params.h1 or params.h2):
-        raise ValueError(f"model {kind!r} does not accept fluxes or chemical potentials")
     if sector is not None and kind != "charge_pair_transformed":
         raise ValueError("sector blocks are available for charge_pair_transformed only")
 
@@ -180,17 +156,6 @@ def build_model(
     if kind == "charge_pair_jw":
         return jordan_wigner_image(L, params.U)
     raise AssertionError(kind)
-
-
-def extended_charges(params: ModelParams) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Flux-dressed conserved charges of the pairing chain.
-
-    Returns (S, R) with the ``charge_pair`` Hamiltonian satisfying
-    H(theta, h1, h2) = H(theta, 0, 0) + 2 h1 S + 2 h2 R; at zero flux S and R
-    reduce to the y spin rotation and x pseudo-spin rotation generators.
-    """
-    return (fock.assemble_operator(params.L, _charge_terms(params, 1.0, 0.0)),
-            fock.assemble_operator(params.L, _charge_terms(params, 0.0, 1.0)))
 
 
 def _generator_site_terms(kind: str, j: int) -> List[fock.Term]:
@@ -223,60 +188,6 @@ def symmetry_generator(kind: str, L: int) -> sp.csr_matrix:
         weight = (-1.0) ** j if staggered else 1.0
         for coeff, factors in _generator_site_terms(base, j):
             terms.append((weight * coeff, factors))
-    return fock.assemble_operator(L, terms)
-
-
-# ---------------------------------------------------------------------------
-# on-site basis rotation
-
-
-_V_LOCAL = np.array(
-    [
-        [1, 0, 0, 1],
-        [0, -1j, 1, 0],
-        [0, -1, 1j, 0],
-        [-1, 0, 0, 1],
-    ],
-    dtype=complex,
-) / np.sqrt(2)
-
-
-def basis_rotation(L: int) -> sp.csr_matrix:
-    """Product over sites of the on-site unitary that trades the pairing form
-    for the imaginary-hopping form.
-
-    The printed factor conserves the local parity, so in the site-major
-    layout the product is the Kronecker product of L factors; the signed
-    site-major map of :mod:`chargepair.fock` carries it onto the canonical
-    words.  The returned W satisfies W W^dag = 1 and realizes
-    ``W @ H_charge_pair @ W^dag == H_transformed`` element by element.
-    """
-    fock._check_L(L)
-    f = np.arange(4**L)
-    s = sp.csr_matrix(
-        (fock._site_major_sign(L).astype(complex), (f, fock._site_major_permutation(L))),
-        shape=(4**L, 4**L),
-    )
-    k = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), [sp.csr_matrix(_V_LOCAL)] * L)
-    return (s @ k @ s.T).tocsr()
-
-
-def printed_local_rotation() -> np.ndarray:
-    """The on-site 4x4 rotation matrix as printed (one site factor)."""
-    return _V_LOCAL.copy()
-
-
-def transformed_fermion_matrix(L: int, spin: str, site: int) -> sp.csr_matrix:
-    """Matrix of the rotated annihilation operator d(site) in the original
-    basis, built from its linear combination of c and c^dag."""
-    cu, au = (CREATE, UP, site), (ANNIHILATE, UP, site)
-    cd, ad = (CREATE, DOWN, site), (ANNIHILATE, DOWN, site)
-    if spin == UP:
-        terms = [(0.5, [au]), (0.5j, [cu]), (-0.5j, [ad]), (0.5, [cd])]
-    elif spin == DOWN:
-        terms = [(0.5j, [au]), (0.5, [cu]), (-0.5, [ad]), (0.5j, [cd])]
-    else:
-        raise ValueError(f"unknown spin {spin!r}")
     return fock.assemble_operator(L, terms)
 
 
@@ -323,24 +234,6 @@ def jordan_wigner_image(L: int, U: float) -> sp.csr_matrix:
     if L < 2:
         raise ValueError("needs L >= 2")
     return _spin_chain(L, U, lambda spin, j, k: _pair_bond(spin, j, k, -1.0), _string_bond)
-
-
-def sublattice_rotation_check(L: int, U: float) -> float:
-    """Residual of conjugating the coupled chain by the even-site spin flips
-    against the XX chain, whose closing bond follows from the parity of L."""
-    params = ModelParams(L=L, U=U)
-    hs, target = build_model("spin_coupled", params), build_model("spin_xx", params)
-    w = _even_site_flip(L)
-    return float(abs(w @ hs @ w.T - target).max())
-
-
-def _even_site_flip(L: int) -> sp.csr_matrix:
-    """Product of sigma^x tau^x over even sites (spin flip on those sites)."""
-    mask = 0
-    for j in range(2, L + 1, 2):
-        mask |= (1 << fock.mode_index(L, UP, j)) | (1 << fock.mode_index(L, DOWN, j))
-    words = fock._basis_words(L)
-    return sp.csr_matrix((np.ones(len(words)), (words ^ mask, words)), shape=(len(words),) * 2)
 
 
 def translation_operator(L: int) -> sp.csr_matrix:

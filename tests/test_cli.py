@@ -623,6 +623,35 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "--out" in err
 
+    def test_out_into_a_missing_directory_fails_before_any_solve(self, monkeypatch, capsys,
+                                                                 tmp_path):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a column whose output has nowhere to go")
+
+        monkeypatch.setattr(bethe, "solve", no_solve)
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "table4", "--U", "2", "--sizes", "62",
+                      "--out", str(missing / "x")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--out directory {str(missing)!r} does not exist" in err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("argv,column", [
+        (["ybe", "spin", "--U", "1e200", "--pairs", "3"], "max_residual"),
+        (["ybe", "curve", "--U", "1e200"], "max_residual"),
+        (["transfer", "--L", "2", "--U", "1e100"], "max_commutator"),
+    ])
+    def test_result_that_is_not_finite_exits_one(self, capsys, argv, column):
+        # the dressing e^{2h} overflows at these couplings; exit 0 would
+        # print nan or inf as an answer
+        with np.errstate(all="ignore"):
+            code = cli.main(argv)
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"solver failure: {column} is ")
+
     def test_stdout_json_digests_its_csv(self, capsys):
         assert cli.main(["liebwu", "xi", "--U", "2"]) == 0
         csv = capsys.readouterr().out

@@ -17,11 +17,18 @@ from chargepair.fock import (
     Z,
     Sector,
     _basis_words,
-    apply_mode,
     assemble_operator,
 )
 from chargepair.models import ModelParams
-from helpers import searchsorted_rows, xor_fold_parity
+from helpers import (
+    apply_mode,
+    basis_rotation,
+    extended_charges,
+    flux_charge_pair,
+    searchsorted_rows,
+    transformed_fermion_matrix,
+    xor_fold_parity,
+)
 
 
 def op(kind, spin, site):
@@ -184,17 +191,15 @@ BUILDERS = {
     # spin_xx closes its ring differently at even and odd L
     "spin_xx_even": lambda: models.build_model("spin_xx", ModelParams(L=2, U=1.0)),
     "spin_xx_odd": lambda: models.build_model("spin_xx", ModelParams(L=3, U=1.0)),
-    "charge_pair_fluxes": lambda: models.build_model(
-        "charge_pair", ModelParams(L=2, U=1.0, theta_up=0.3, theta_down=-0.7, h1=0.2, h2=-0.4)
-    ),
+    "charge_pair_fluxes": lambda: flux_charge_pair(2, 1.0, 0.3, -0.7, 0.2, -0.4),
     **{
         kind: lambda kind=kind: models.symmetry_generator(kind, 2)
         for kind in models.GENERATOR_KINDS
     },
-    "extended_charges_S": lambda: models.extended_charges(ModelParams(L=2, U=1.0))[0],
-    "extended_charges_R": lambda: models.extended_charges(ModelParams(L=2, U=1.0))[1],
-    "transformed_fermion_matrix": lambda: models.transformed_fermion_matrix(2, UP, 1),
-    "basis_rotation": lambda: models.basis_rotation(2),
+    "extended_charges_S": lambda: extended_charges(2)[0],
+    "extended_charges_R": lambda: extended_charges(2)[1],
+    "transformed_fermion_matrix": lambda: transformed_fermion_matrix(2, UP, 1),
+    "basis_rotation": lambda: basis_rotation(2),
     "translation_operator": lambda: models.translation_operator(1),
 }
 

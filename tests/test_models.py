@@ -6,8 +6,16 @@ from hypothesis import strategies as st
 
 from chargepair import bethe, fock, models
 from chargepair.fock import DOWN, UP, Sector
-from chargepair.models import ModelParams, build_model, basis_rotation
+from chargepair.models import ModelParams, build_model
 from chargepair.spectra import spectrum
+from helpers import (
+    V_LOCAL,
+    basis_rotation,
+    extended_charges,
+    flux_charge_pair,
+    sublattice_rotation_check,
+    transformed_fermion_matrix,
+)
 
 
 def dense(m):
@@ -40,27 +48,28 @@ class TestBuilders:
         assert maxabs(h - h.conj().T) <= 1e-13
 
     @pytest.mark.parametrize(
-        "kind,params",
+        "build,L,U",
         [
-            pytest.param(kind, ModelParams(L, U), id=f"{kind}-L{L}-U{U}")
+            pytest.param(lambda L, U, kind=kind: build_model(kind, ModelParams(L, U)), L, U,
+                         id=f"{kind}-L{L}-U{U}")
             for kind in ("hubbard", "charge_pair", "charge_pair_transformed")
             for L in (2, 3, 4)
             for U in (0.7, 1.3)
         ]
         + [
-            pytest.param("charge_pair", ModelParams(L, U, 0.3, -0.7, 0.2, -0.4),
+            pytest.param(lambda L, U: flux_charge_pair(L, U, 0.3, -0.7, 0.2, -0.4), L, U,
                          id=f"charge_pair-fluxes-L{L}-U{U}")
             for L in (2, 3, 4)
             for U in (0.7, 1.3)
         ],
     )
-    def test_interaction_diagonal_is_exact(self, kind, params):
+    def test_interaction_diagonal_is_exact(self, build, L, U):
         # one diagonal term per site: no rounding residue may be stored where
         # the exact entry is zero, at dyadic or non-dyadic U
-        h = build_model(kind, params)
+        h = build(L, U)
         assert np.min(np.abs(h.data)) >= 1e-12
-        L, w = params.L, np.arange(4**params.L)
-        expected = params.U * sum(
+        w = np.arange(4**L)
+        expected = U * sum(
             ((w >> (j - 1) & 1) - 0.5) * ((w >> (L + j - 1) & 1) - 0.5) for j in range(1, L + 1)
         )
         assert maxabs(h.diagonal() - expected) <= 1e-15
@@ -83,13 +92,6 @@ class TestBuilders:
         p = ModelParams(L=3, U=3.0)
         dev = maxabs(sorted_spectrum("hubbard", p) - sorted_spectrum("charge_pair", p))
         assert dev > 1e-3
-
-    def test_only_charge_pair_accepts_fluxes(self):
-        build_model("charge_pair", ModelParams(L=2, U=1.0, theta_up=0.1, h2=0.3))
-        with pytest.raises(ValueError, match="fluxes"):
-            build_model("hubbard", ModelParams(L=2, U=1.0, h1=0.2))
-        with pytest.raises(ValueError, match="fluxes"):
-            build_model("spin_xx", ModelParams(L=3, U=1.0, theta_down=0.1))
 
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     @pytest.mark.parametrize("U", [np.nan, np.inf, -np.inf])
@@ -136,7 +138,7 @@ class TestConservation:
 class TestBasisRotation:
     def test_printed_single_site_factor(self):
         v = dense(basis_rotation(1))
-        assert maxabs(v - models.printed_local_rotation()) < 1e-15
+        assert maxabs(v - V_LOCAL) < 1e-15
         assert maxabs(v @ v.conj().T - np.eye(4)) < 1e-15
 
     @pytest.mark.parametrize("L", [2, 3, 4])
@@ -167,11 +169,11 @@ class TestBasisRotation:
             acc = np.zeros_like(eye, dtype=complex)
             for j in range(1, L + 1):
                 jn = 1 if j == L else j + 1
-                du_j = dense(models.transformed_fermion_matrix(L, UP, j))
-                dd_j = dense(models.transformed_fermion_matrix(L, DOWN, j))
+                du_j = dense(transformed_fermion_matrix(L, UP, j))
+                dd_j = dense(transformed_fermion_matrix(L, DOWN, j))
                 if L > 1:
-                    du_n = dense(models.transformed_fermion_matrix(L, UP, jn))
-                    dd_n = dense(models.transformed_fermion_matrix(L, DOWN, jn))
+                    du_n = dense(transformed_fermion_matrix(L, UP, jn))
+                    dd_n = dense(transformed_fermion_matrix(L, DOWN, jn))
                     acc += 1j * du_j.conj().T @ du_n - 1j * du_n.conj().T @ du_j
                     acc += -1j * dd_j.conj().T @ dd_n + 1j * dd_n.conj().T @ dd_j
                 acc += (
@@ -182,7 +184,7 @@ class TestBasisRotation:
             if L > 1:
                 target = dense(build_model("charge_pair", ModelParams(L=L, U=U)))
             else:
-                nu = dense(models.transformed_fermion_matrix(L, UP, 1))
+                nu = dense(transformed_fermion_matrix(L, UP, 1))
                 target = dense(
                     fock.assemble_operator(
                         1,
@@ -205,8 +207,8 @@ class TestBasisRotation:
         sy_d = np.zeros_like(sy)
         rx_d = np.zeros_like(rx)
         for j in range(1, L + 1):
-            du = dense(models.transformed_fermion_matrix(L, UP, j))
-            dd = dense(models.transformed_fermion_matrix(L, DOWN, j))
+            du = dense(transformed_fermion_matrix(L, UP, j))
+            dd = dense(transformed_fermion_matrix(L, DOWN, j))
             sy_d += 0.5 * (du.conj().T @ du - dd.conj().T @ dd)
             rx_d += 0.5 * (du.conj().T @ du + dd.conj().T @ dd - eye)
         assert maxabs(sy - sy_d) < 1e-13
@@ -244,7 +246,7 @@ class TestSpinChains:
 
     @pytest.mark.parametrize("L,U,tol", [(4, 1.0, 1e-12), (3, 1.0, 1e-12), (2, 0.0, 1e-13), (5, 2.0, 1e-12)])
     def test_sublattice_rotation(self, L, U, tol):
-        assert models.sublattice_rotation_check(L, U) < tol
+        assert sublattice_rotation_check(L, U) < tol
 
 
 class TestSectorStructure:
@@ -398,12 +400,19 @@ class TestMirrorBasis:
 
 
 class TestExtendedModel:
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    @pytest.mark.parametrize("U", [0.3, 1.7, 2.0])
+    def test_zero_flux_is_the_pairing_chain(self, L, U):
+        # the flux-dressed reference at zero flux and chemical potential is
+        # the library's pairing chain, entry for entry
+        h0 = flux_charge_pair(L, U, 0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(dense(h0), dense(build_model("charge_pair", ModelParams(L, U))))
+
     def test_fluxes_removable(self):
         p0 = ModelParams(L=3, U=2.0)
-        pf = ModelParams(L=3, U=2.0, theta_up=0.4, theta_down=-0.7)
         dev = maxabs(
             sorted_spectrum("charge_pair", p0)
-            - sorted_spectrum("charge_pair", pf)
+            - np.sort(np.linalg.eigvalsh(dense(flux_charge_pair(3, 2.0, 0.4, -0.7, 0.0, 0.0))))
         )
         assert dev < 1e-11
 
@@ -416,11 +425,9 @@ class TestExtendedModel:
         h2=st.floats(-1.0, 1.0),
     )
     def test_hamiltonian_splits_into_charges(self, U, theta_up, theta_down, h1, h2):
-        pf = ModelParams(L=3, U=U, theta_up=theta_up, theta_down=theta_down)
-        ph = ModelParams(L=3, U=U, theta_up=theta_up, theta_down=theta_down, h1=h1, h2=h2)
-        h0 = dense(build_model("charge_pair", pf))
-        hh = dense(build_model("charge_pair", ph))
-        s, r = models.extended_charges(pf)
+        h0 = dense(flux_charge_pair(3, U, theta_up, theta_down, 0.0, 0.0))
+        hh = dense(flux_charge_pair(3, U, theta_up, theta_down, h1, h2))
+        s, r = extended_charges(3, theta_up, theta_down)
         s, r = dense(s), dense(r)
         assert maxabs(hh - h0 - 2 * h1 * s - 2 * h2 * r) < 1e-13
         assert maxabs(h0 @ s - s @ h0) < 1e-12
@@ -428,8 +435,7 @@ class TestExtendedModel:
         assert maxabs(s @ r - r @ s) < 1e-13
 
     def test_zero_flux_charges_reduce_to_generators(self):
-        p = ModelParams(L=2, U=1.0)
-        s, r = models.extended_charges(p)
+        s, r = extended_charges(2)
         assert maxabs(dense(s) - dense(models.symmetry_generator("S_y", 2))) < 1e-14
         assert maxabs(dense(r) - dense(models.symmetry_generator("R_x", 2))) < 1e-14
 

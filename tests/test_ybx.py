@@ -10,18 +10,21 @@ from chargepair.ybx import (
     coupled_lax,
     coupling_h,
     curve_point,
-    density_expansion,
     graded_lax,
-    graded_lax_from_twist,
     graded_permutation,
     graded_r,
     shastry_r,
     single_lax,
-    two_site_density_reference,
     ybe_residual_graded,
     ybe_residual_spin,
 )
-from helpers import log_derivative_hamiltonian, transfer_matrix
+from helpers import (
+    density_expansion,
+    graded_lax_from_twist,
+    log_derivative_hamiltonian,
+    transfer_matrix,
+    two_site_density_reference,
+)
 
 
 def maxabs(m):
@@ -252,7 +255,7 @@ class TestTransferMatrix:
 
 class TestGradedLax:
     def test_regular_point_is_graded_permutation(self):
-        assert maxabs(graded_lax(ybx.regular_point(2.0)) - graded_permutation()) == 0.0
+        assert maxabs(graded_lax(CurvePoint(1.0, 0.0, 2.0)) - graded_permutation()) == 0.0
 
     @pytest.mark.parametrize("lam", [0.4, -0.9, 1.3, 2.8])
     def test_printed_matrix_equals_twisted_construction(self, lam):
@@ -275,18 +278,18 @@ class TestGradedR:
 
     def test_bbar_entry_against_regular_partner(self):
         p1 = curve_point(0.5, 2.0)
-        p2 = ybx.regular_point(2.0)
+        p2 = CurvePoint(1.0, 0.0, 2.0)
         r = graded_r(p1, p2)
         expected = p1.y / (p1.x**2 + p1.y**2)
         assert abs(r[4, 11] - expected) < 1e-14
 
     def test_h_entry_at_double_regular_point(self):
-        p = ybx.regular_point(2.0)
+        p = CurvePoint(1.0, 0.0, 2.0)
         assert graded_r(p, p)[0, 0] == 1.0
 
     def test_mixed_couplings_rejected(self):
         with pytest.raises(ValueError):
-            graded_r(ybx.regular_point(2.0), ybx.regular_point(3.0))
+            graded_r(CurvePoint(1.0, 0.0, 2.0), CurvePoint(1.0, 0.0, 3.0))
 
     def test_singular_pair_rejected(self):
         p1 = curve_point(0.4, 2.0)
